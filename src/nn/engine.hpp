@@ -42,12 +42,13 @@ namespace ocb::nn {
 /// CRC32 per packed weight panel (dense, sparse and half formats) at
 /// pack time; verification compares the live panels against the
 /// recorded values and, on mismatch, re-packs the node from the master
-/// fp32 weights_ tensor — which silent in-memory corruption cannot
-/// reach through the packed-panel accessors.
+/// fp32 weight tensor — which silent in-memory corruption cannot reach
+/// through the packed-panel accessors.
 struct IntegrityConfig {
-  /// Verify one node (round-robin) every N frames; 0 disables. The
-  /// cadence amortises the sweep so a frame pays one panel's CRC, not
-  /// the whole model's.
+  /// Verify one node (round-robin) every N frames; 0 disables. Frames
+  /// count the same on both run paths: a run_batch() of four advances
+  /// the cadence four times. The cadence amortises the sweep so a
+  /// frame pays one panel's CRC, not the whole model's.
   int verify_every = 0;
   /// Re-pack a failing node from the master weights (true) or only
   /// count the mismatch (false — detection-only telemetry).
@@ -160,14 +161,14 @@ class Engine {
 
   int max_batch() const noexcept { return max_batch_; }
 
-  /// Run up to max_batch() frames as one fused forward pass: every
-  /// conv processes all frames side by side (widened im2col GEMM or
-  /// batched Winograd tiles, per the active plan) so per-layer
-  /// dispatch overhead is paid once per batch, not once per frame.
-  /// Returns outputs[frame][output], each a batch-1 tensor matching
-  /// what run(frame) would produce. INT8 engines and single-frame
-  /// batches fall back to per-frame run() (the quantized path keeps
-  /// its per-image buffers). Like run(), the view aliases pre-sized
+  /// Run up to max_batch() frames as one forward pass: every conv
+  /// processes all frames side by side (widened im2col GEMM or batched
+  /// Winograd tiles, per the active plan) so per-layer dispatch
+  /// overhead is paid once per batch, not once per frame. run() is the
+  /// same pass over one frame. Returns outputs[frame][output], each a
+  /// batch-1 tensor matching what run(frame) would produce. INT8
+  /// engines run the frames one at a time (the quantized path keeps
+  /// per-image u8 buffers). Like run(), the view aliases pre-sized
   /// engine storage (heap-free per call) and is invalidated by the
   /// next run()/run_batch()/prepare().
   std::span<const std::vector<Tensor>> run_batch(
@@ -218,7 +219,7 @@ class Engine {
   }
 
   /// Direct access to a node's packed fp32 panels for fault injection:
-  /// writes through PackedA::mutable_data() bypass pack_dirty_
+  /// writes through PackedA::mutable_data() bypass the weight() dirty
   /// tracking, modelling silent memory corruption the checksum layer
   /// must catch. Node must be conv/linear (non-empty panels).
   PackedA& packed_panels(int node);
@@ -276,9 +277,44 @@ class Engine {
   static PlanVerifyHook plan_verify_hook() noexcept;
 
  private:
+  /// One node's weights: the master fp32 tensors, every packed format
+  /// the plan has asked for (conv/linear only; empty otherwise), the
+  /// CRC32 recorded for each format at pack time (0 = not packed), and
+  /// whether weight() handed the master out since the last pack.
+  struct WeightSlot {
+    Tensor weight;
+    Tensor bias;
+    PackedA dense;
+    PackedSparseA sparse;  ///< kSparse / kSparseHalf storage
+    PackedHalfA half;      ///< kHalf storage
+    std::vector<PackedA> winograd;  ///< 16 transformed 3×3 panels
+    std::uint32_t dense_crc = 0;
+    std::uint32_t sparse_crc = 0;
+    std::uint32_t half_crc = 0;
+    bool dirty = false;
+
+    /// Calls fn(panels) with the panels `storage` names: the single
+    /// dispatch from a plan's WeightStorage to the GEMM-side kernels.
+    template <typename Fn>
+    void with_panels(WeightStorage storage, Fn&& fn) const {
+      switch (storage) {
+        case WeightStorage::kHalf: fn(half); return;
+        case WeightStorage::kSparse:
+        case WeightStorage::kSparseHalf: fn(sparse); return;
+        case WeightStorage::kDense: fn(dense); return;
+      }
+    }
+    void record_checksums();
+    bool checksums_match() const;
+  };
+
+  /// The one interpreter behind run() and run_batch(): a forward pass
+  /// over `batch` images (inputs[0..batch)), leaving image b of every
+  /// node at act_base_ + b·act_stride_. Advances the integrity cadence
+  /// once per image. INT8 plans run one image at a time (the u8
+  /// buffers hold a single image).
+  void execute(const Tensor* inputs, int batch);
   void repack(int node);
-  /// Re-record the CRC32s of node i's packed panels (all live formats).
-  void record_checksums(std::size_t i);
   /// Verify one node's panels; re-pack from master weights on mismatch
   /// when `recover`. Returns true when all live panels matched.
   bool verify_node(int node, bool recover);
@@ -307,19 +343,9 @@ class Engine {
   void materialize_outputs(int image, std::vector<Tensor>& dst) const;
 
   Graph graph_;  // engine owns an immutable copy of the structure
-  std::vector<Tensor> weights_;
-  std::vector<Tensor> biases_;
+  std::vector<WeightSlot> slots_;  ///< per node; empty for parameter-free ops
   /// Mutable: node_output() lazily dequantizes u8-resident activations.
   mutable std::vector<Tensor> activations_;
-  std::vector<PackedA> packed_;      ///< per-node weight panels (conv/linear)
-  std::vector<char> pack_dirty_;     ///< weight() handed out since last pack
-  /// Compressed weight panels, built lazily when the plan assigns the
-  /// node kSparse/kSparseHalf or kHalf storage (empty otherwise).
-  std::vector<PackedSparseA> sparse_packed_;
-  std::vector<PackedHalfA> half_packed_;
-  /// Per-node Winograd weight panels (16 each), packed lazily when the
-  /// plan first selects kWinograd for the node.
-  std::vector<std::vector<PackedA>> wino_panels_;
   /// Pre-sized output snapshots returned by run() / run_batch().
   std::vector<Tensor> outputs_;
   std::vector<std::vector<Tensor>> batch_outputs_;
@@ -342,13 +368,10 @@ class Engine {
   ExecutionPlan plan_;               ///< active plan (see prepare)
   std::vector<ConvPlan> plan_scratch_;  ///< pre-sized planning staging
 
-  /// Checksum state: recorded CRCs per node and format (0 = no panel),
-  /// the conv/linear node list the cadence walks, and its cursor.
+  /// Checksum cadence: the conv/linear node list it walks (CRCs live
+  /// in the WeightSlots) and its cursor.
   IntegrityConfig integrity_{};
   IntegrityReport integrity_report_{};
-  std::vector<std::uint32_t> pack_crc_;
-  std::vector<std::uint32_t> sparse_crc_;
-  std::vector<std::uint32_t> half_crc_;
   std::vector<int> integrity_nodes_;
   std::size_t integrity_cursor_ = 0;
   int integrity_tick_ = 0;

@@ -1,14 +1,18 @@
 // Kernel implementations for the inference engine.
 //
-// All buffers are contiguous CHW float32 for a batch of one; the Engine
-// drives these per node. Convolution lowers to im2col + GEMM with the
-// bias + activation epilogue fused into the GEMM write-back; the other
-// ops are direct loops (they are bandwidth-bound and simple).
+// Every image is a contiguous CHW float32 block. The Engine drives these
+// per node: the conv kernels take a batch of images `in_stride` /
+// `out_stride` floats apart and process them in one call, the other ops
+// take one image and the Engine loops over the batch. Convolution
+// lowers to im2col (or Winograd tiles, or the 1×1 input itself) + GEMM
+// with the bias + activation epilogue fused into the GEMM write-back;
+// the other ops are direct loops (they are bandwidth-bound and simple).
 //
-// Two conv entry points: the pointer-weight overload packs the weight
-// matrix per call (tests, one-shot users), while the PackedA overload
-// consumes a weight panel cached by the Engine at load time — the
-// steady-state frame path.
+// The conv and linear GEMM paths read weight panels the Engine packed
+// once at load time, in the dense (PackedA), 16-bit (PackedHalfA) or
+// sparse (PackedSparseA) format the plan picked. The pointer-weight
+// conv2d/linear overloads pack per call, and the batch-1 PackedA conv2d
+// is the single-image im2col reference; both serve tests and benches.
 #pragma once
 
 #include <vector>
@@ -85,13 +89,9 @@ void conv2d_fused(const float* input, std::size_t in_stride, int batch,
 /// lowering, arena use and fused epilogue, but the GEMM reads
 /// PackedHalfA (16-bit weights widened in-register) or PackedSparseA
 /// (surviving-column panels) instead of dense fp32 panels. The engine
-/// dispatches on ConvPlan::storage (see nn/conv_plan.hpp).
-void conv2d(const float* input, const ConvGeometry& geom,
-            const PackedHalfA& weight, const float* bias, Act act,
-            float* output, ConvScratch& scratch);
-void conv2d(const float* input, const ConvGeometry& geom,
-            const PackedSparseA& weight, const float* bias, Act act,
-            float* output, ConvScratch& scratch);
+/// dispatches on ConvPlan::storage (see nn/conv_plan.hpp). The
+/// compressed GEMMs have no residual epilogue, so `mode` must stay
+/// kStore (graph fusion only folds adds into dense convs).
 void conv2d_batched(const float* input, std::size_t in_stride, int batch,
                     const ConvGeometry& geom, const PackedHalfA& weight,
                     const float* bias, Act act, float* output,
@@ -103,11 +103,13 @@ void conv2d_batched(const float* input, std::size_t in_stride, int batch,
 void conv2d_direct1x1(const float* input, std::size_t in_stride, int batch,
                       const ConvGeometry& geom, const PackedHalfA& weight,
                       const float* bias, Act act, float* output,
-                      std::size_t out_stride);
+                      std::size_t out_stride,
+                      EpiMode mode = EpiMode::kStore);
 void conv2d_direct1x1(const float* input, std::size_t in_stride, int batch,
                       const ConvGeometry& geom, const PackedSparseA& weight,
                       const float* bias, Act act, float* output,
-                      std::size_t out_stride);
+                      std::size_t out_stride,
+                      EpiMode mode = EpiMode::kStore);
 
 /// Winograd F(2×2,3×3) conv (kernel 3, stride 1 only) over weight
 /// panels pre-transformed by winograd::pack_weights: per batch, lower

@@ -258,6 +258,24 @@ TEST(Resilience, RunPathCadenceSelfHeals) {
   for (int frame = 0; frame < g.node_count(); ++frame) engine.run(input);
   EXPECT_EQ(engine.verify_weights(/*recover=*/false), 0);
   EXPECT_TRUE(bit_identical(engine.run(input), clean));
+
+  // The cadence counts frames on the batched path too: a batch of four
+  // advances it four times, so the same frame budget heals.
+  request.max_batch = 4;
+  engine.prepare(request);
+  const std::vector<Tensor> frames(4, input);
+  const auto warm = engine.run_batch(frames);
+  const std::vector<std::vector<Tensor>> clean_batch(warm.begin(), warm.end());
+  ASSERT_GT(injector.corrupt_engine(engine), 0u);
+  const std::uint64_t checked = engine.integrity_report().nodes_checked;
+  const int batches = (g.node_count() + 3) / 4;
+  for (int b = 0; b < batches; ++b) engine.run_batch(frames);
+  EXPECT_EQ(engine.integrity_report().nodes_checked,
+            checked + 4u * static_cast<std::uint64_t>(batches));
+  EXPECT_EQ(engine.verify_weights(/*recover=*/false), 0);
+  const auto healed = engine.run_batch(frames);
+  for (std::size_t f = 0; f < frames.size(); ++f)
+    EXPECT_TRUE(bit_identical(healed[f], clean_batch[f])) << "frame " << f;
 }
 
 TEST(Resilience, VerifyTickIsHeapFreeWhenWarm) {

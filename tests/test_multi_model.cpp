@@ -9,13 +9,16 @@
 #include <algorithm>
 #include "core/error.hpp"
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <mutex>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "core/rng.hpp"
 #include "models/registry.hpp"
+#include "nn/engine.hpp"
 #include "runtime/frame_source.hpp"
 #include "runtime/pipeline.hpp"
 #include "runtime/streaming_pipeline.hpp"
@@ -48,29 +51,122 @@ Tensor frame_input(int frame) {
   return t;
 }
 
+/// One node of every OpKind, plus the conv shapes each planner branch
+/// engages on: a 3x3 stride-1 conv (Winograd-eligible), a 1x1 conv
+/// (direct GEMM) whose output folds into a residual Add, a strided 3x3
+/// (im2col) and a GEMV-shaped linear head, where half storage pays.
+nn::Graph every_op_graph() {
+  nn::Graph g;
+  const int in = g.input(16, 16, 16);
+  const int c0 = g.conv(in, 32, 3, 1, 1, nn::Act::kSilu, "c0");
+  const int pw = g.conv(c0, 32, 1, 1, 0, nn::Act::kNone, "pw");
+  const int res = g.add(c0, pw, "res", nn::Act::kSilu);
+  const int dw = g.dwconv(res, 3, 1, 1, nn::Act::kSilu, "dw");
+  const int pool = g.maxpool(dw, 2, 2, 0, "pool");
+  const int de = g.deconv(pool, 16, nn::Act::kRelu, "de");
+  const int sl = g.slice(res, 0, 16, "sl");
+  const int cat = g.concat({de, sl}, "cat");
+  const int c2 = g.conv(cat, 64, 3, 2, 1, nn::Act::kLeakyRelu, "c2");
+  const int up = g.upsample2x(c2, "up");
+  const int head = g.conv(up, 4, 1, 1, 0, nn::Act::kSigmoid, "head");
+  const int gap = g.global_avg_pool(c2, "gap");
+  const int fc = g.linear(gap, 512, nn::Act::kNone, "fc");
+  g.mark_output(head);
+  g.mark_output(fc);
+  return g;
+}
+
+Tensor every_op_input(int frame) {
+  Tensor t({1, 16, 16, 16});
+  Rng rng(static_cast<std::uint64_t>(100 + frame));
+  t.init_uniform(rng, -1.0f, 1.0f);
+  return t;
+}
+
+float max_abs_diff(const Tensor& a, const Tensor& b) {
+  float m = 0.0f;
+  for (std::size_t i = 0; i < a.numel(); ++i)
+    m = std::max(m, std::abs(a[i] - b[i]));
+  return m;
+}
+
 // --- Engine batch path -----------------------------------------------------
 
 TEST(EngineBatch, BatchedMatchesSerial) {
-  const nn::Graph g = serving_graph();
-  nn::Engine batched(g, 7);
-  nn::Engine serial(g, 7);
-  // Plan both through the same planner so batched and serial execution
-  // compare like against like (identical per-layer algorithm choices).
-  batched.prepare({.max_batch = 5});
-  serial.prepare({.max_batch = 1});
-
+  // run_batch over four frames must match per-frame run() on a twin
+  // engine planned by the same request, for every weight storage, with
+  // graph fusion off and on, and under INT8.
+  constexpr float kTol = 1e-5f;
+  constexpr int kFrames = 4;
+  const nn::Graph g = every_op_graph();
   std::vector<Tensor> inputs;
-  for (int f = 0; f < 5; ++f) inputs.push_back(frame_input(f));
-  const auto batch_out = batched.run_batch(inputs);
-  ASSERT_EQ(batch_out.size(), 5u);
-  for (int f = 0; f < 5; ++f) {
-    const auto ref = serial.run(inputs[static_cast<std::size_t>(f)]);
-    ASSERT_EQ(batch_out[static_cast<std::size_t>(f)].size(), ref.size());
-    for (std::size_t o = 0; o < ref.size(); ++o) {
-      const Tensor& got = batch_out[static_cast<std::size_t>(f)][o];
-      ASSERT_EQ(got.shape(), ref[o].shape());
-      EXPECT_TRUE(allclose(got, ref[o], 1e-4f))
-          << "frame " << f << " output " << o;
+  for (int f = 0; f < kFrames; ++f) inputs.push_back(every_op_input(f));
+
+  struct Case {
+    const char* name;
+    nn::PlanRequest request;
+  };
+  std::vector<Case> cases;
+  for (const bool fused : {false, true}) {
+    nn::PlanRequest base;
+    base.max_batch = kFrames;
+    base.fusion = fused ? nn::FusionConfig{true, true, true}
+                        : nn::FusionConfig{};
+    nn::PlanRequest fp16 = base;
+    fp16.precision = nn::Precision::kFp16;
+    nn::PlanRequest sparse = base;
+    sparse.sparsity.scheme = nn::SparsityScheme::kNm;
+    sparse.sparsity.min_params = 1;
+    nn::PlanRequest sparse_half = sparse;
+    sparse_half.precision = nn::Precision::kFp16;
+    // A bandwidth-starved device model, where the fewest weight bytes
+    // per pass win: pushes the GEMV onto sparse-half panels.
+    sparse_half.planner.cost =
+        nn::KernelCostModel::from_roofline(22.0, 2.0, 1.5, 2.0);
+    cases.push_back({fused ? "fp32/fused" : "fp32", base});
+    cases.push_back({fused ? "fp16/fused" : "fp16", fp16});
+    cases.push_back({fused ? "sparse/fused" : "sparse", sparse});
+    cases.push_back(
+        {fused ? "sparse-half/fused" : "sparse-half", sparse_half});
+  }
+  nn::PlanRequest int8;
+  int8.max_batch = kFrames;
+  int8.precision = nn::Precision::kInt8;
+  cases.push_back({"int8", int8});
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    nn::Engine batched(g, 7);
+    nn::Engine serial(g, 7);
+    if (c.request.precision == nn::Precision::kInt8) {
+      batched.calibrate(inputs);
+      serial.calibrate(inputs);
+    }
+    const nn::ExecutionPlan& plan = batched.prepare(c.request);
+    serial.prepare(c.request);
+    // Each case must actually exercise the storage it names.
+    if (c.request.precision == nn::Precision::kFp16)
+      EXPECT_GT(plan.fp16_nodes, 0) << plan.to_text(g);
+    if (c.request.sparsity.enabled())
+      EXPECT_GT(plan.sparse_nodes, 0) << plan.to_text(g);
+    if (c.request.precision == nn::Precision::kInt8)
+      EXPECT_GT(plan.quant_nodes, 0) << plan.to_text(g);
+    // The residual folds only into a dense producer conv.
+    if (c.request.fusion.any() && !c.request.sparsity.enabled())
+      EXPECT_GT(plan.residual_fused, 0) << plan.to_text(g);
+    if (c.request.fusion.any()) EXPECT_GT(plan.concat_elided, 0);
+
+    const auto batch_out = batched.run_batch(inputs);
+    ASSERT_EQ(batch_out.size(), static_cast<std::size_t>(kFrames));
+    for (int f = 0; f < kFrames; ++f) {
+      const auto& ref = serial.run(inputs[static_cast<std::size_t>(f)]);
+      const auto& got = batch_out[static_cast<std::size_t>(f)];
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t o = 0; o < ref.size(); ++o) {
+        ASSERT_EQ(got[o].shape(), ref[o].shape());
+        EXPECT_LE(max_abs_diff(got[o], ref[o]), kTol)
+            << "frame " << f << " output " << o;
+      }
     }
   }
 }
