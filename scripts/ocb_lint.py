@@ -69,6 +69,13 @@ correctness:
                    the option is off; an unguarded call site would ship
                    the corruption branch (and its atomic load) in every
                    production kernel dispatch (DESIGN.md §14).
+  health-state     a declaration of cooldown_left / health_strikes /
+                   quarantined outside src/runtime/health_gate.*. The
+                   degrade → cooldown → probe → quarantine → reload →
+                   re-admit policy lives in one HealthGate that both
+                   runtimes drive (DESIGN.md §14); a second hand-written
+                   copy drifts from it, as the two copies it replaced
+                   did.
   bench-baseline   bench/baselines/*.json must parse and carry the
                    top-level keys scripts/check_bench_regression.py
                    keys off, so a malformed baseline fails in lint, not
@@ -520,6 +527,38 @@ def check_fault_hook_guard(rel: str, lines: list[str]) -> list[Finding]:
     return findings
 
 
+# --- rule: health-state -----------------------------------------------------
+
+HEALTH_STATE_ALLOWED = {
+    "src/runtime/health_gate.hpp",
+    "src/runtime/health_gate.cpp",
+}
+# A declaration: type tokens, then one of the state names (optionally a
+# trailing-underscore member) and an initialiser or `;`. Member access
+# (`st.quarantined = ...`), calls and `return quarantined;` don't match.
+HEALTH_STATE_RE = re.compile(
+    r"^\s*(?!(?:return|else|case|throw|delete|co_return)\b)"
+    r"[A-Za-z_][\w:<>,\s\*&]*[\s\*&]"
+    r"(cooldown_left|health_strikes|quarantined)_?\s*[=;{\[,]"
+)
+
+
+def check_health_state(rel: str, lines: list[str]) -> list[Finding]:
+    if rel in HEALTH_STATE_ALLOWED:
+        return []
+    findings = []
+    for i, raw in enumerate(lines, 1):
+        m = HEALTH_STATE_RE.search(strip_comments_and_strings(raw))
+        if not m or "health-state" in allowed_rules(raw):
+            continue
+        findings.append(Finding(
+            "health-state", rel, i,
+            f"health state `{m.group(1)}` declared outside "
+            "runtime/health_gate.* — drive a HealthGate instead of "
+            "hand-writing the quarantine state machine (DESIGN.md §14)"))
+    return findings
+
+
 # --- rule: bench-baseline ---------------------------------------------------
 
 BASELINE_REQUIRED_KEYS = {
@@ -573,6 +612,7 @@ FILE_CHECKS = [
     check_simd_tu,
     check_sparse_dense_unpack,
     check_fault_hook_guard,
+    check_health_state,
 ]
 
 
@@ -715,6 +755,12 @@ SELF_TEST_CASES = [
      ["#if defined(OCB_FAULT_HOOKS)",
       "#endif",
       "fault_hook::set_lane_fault(fault);"]),
+    ("health-state", "src/runtime/bad.cpp",
+     ["  int cooldown_left = 0;"]),
+    ("health-state", "src/runtime/bad.hpp",
+     ["  bool quarantined = false;  ///< must reload to re-admit"]),
+    ("health-state", "bench/bad.cpp",
+     ["  std::atomic<int> health_strikes_{0};"]),
 ]
 
 SELF_TEST_CLEAN = [
@@ -771,6 +817,13 @@ SELF_TEST_CLEAN = [
      ["void set_lane_fault(const LaneFault& fault) noexcept {"]),
     ("src/runtime/good3.cpp",
      ["injector.arm_lane_fault();  // outside the kernel layers"]),
+    ("src/runtime/good5.cpp",
+     ["st.quarantined = true;  // member access, not a declaration",
+      "if (gate.quarantined()) return quarantined;",
+      "// bool quarantined = false; in a comment is fine"]),
+    ("src/runtime/health_gate.hpp",
+     ["  int cooldown_left_ = 0;",
+      "  bool quarantined_ = false;"]),
 ]
 
 

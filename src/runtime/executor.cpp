@@ -6,15 +6,6 @@
 
 namespace ocb::runtime {
 
-const char* stage_status_name(StageStatus status) noexcept {
-  switch (status) {
-    case StageStatus::kOk: return "ok";
-    case StageStatus::kDegraded: return "degraded";
-    case StageStatus::kSkipped: return "skipped";
-  }
-  return "?";
-}
-
 HostExecutor::HostExecutor(const nn::Graph& graph, std::string name,
                            std::uint64_t seed)
     : engine_(graph, seed), name_(std::move(name)) {

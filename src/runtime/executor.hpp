@@ -39,8 +39,6 @@ enum class StageStatus {
   kSkipped,   ///< bypassed (degraded stage cooling down)
 };
 
-const char* stage_status_name(StageStatus status) noexcept;
-
 /// Outcome of one executor invocation.
 struct FrameResult {
   double latency_ms = 0.0;
@@ -58,11 +56,11 @@ class Executor {
   virtual FrameResult run(const FrameContext& ctx) = 0;
   virtual const std::string& name() const noexcept = 0;
 
-  /// Recovery hook the streaming pipeline calls when a quarantined
-  /// stage's cooldown expires (StreamConfig::quarantine_after): rebuild
-  /// whatever internal state may have been corrupted (re-verify weight
-  /// panels, reload a model) and report whether the stage is fit for
-  /// re-admission. Default: stateless executors are always fit.
+  /// Recovery probe the streaming pipeline runs before the first frame
+  /// after a quarantined stage's cooldown (StreamConfig::quarantine_after):
+  /// rebuild whatever internal state may be corrupt (re-verify weight
+  /// panels, reload a model) and report whether the stage may run that
+  /// frame. Default: stateless executors are always fit.
   virtual bool reload() { return true; }
 
   /// Transitional adapter for pre-streaming callers that only want the

@@ -8,6 +8,7 @@
 
 #include "core/error.hpp"
 #include "core/thread_annotations.hpp"
+#include "runtime/health_gate.hpp"
 
 namespace ocb::runtime {
 
@@ -19,35 +20,6 @@ double elapsed_ms(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-void append_fixed(std::ostringstream& os, double v, int precision = 2) {
-  os << std::fixed << std::setprecision(precision) << v;
-}
-
-void append_recorder_json(std::ostringstream& os, const char* key,
-                          const LatencyRecorder& rec) {
-  os << '"' << key << "\":{\"count\":" << rec.count() << ",\"mean_ms\":";
-  append_fixed(os, rec.mean(), 3);
-  os << ",\"p50_ms\":";
-  append_fixed(os, rec.p50(), 3);
-  os << ",\"p95_ms\":";
-  append_fixed(os, rec.p95(), 3);
-  os << ",\"p99_ms\":";
-  append_fixed(os, rec.p99(), 3);
-  os << ",\"max_ms\":";
-  append_fixed(os, rec.max(), 3);
-  os << '}';
-}
-
-std::string escape_json(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
 }  // namespace
 
 const char* serve_priority_name(ServePriority priority) noexcept {
@@ -55,15 +27,6 @@ const char* serve_priority_name(ServePriority priority) noexcept {
     case ServePriority::kCritical: return "critical";
     case ServePriority::kHigh: return "high";
     case ServePriority::kNormal: return "normal";
-  }
-  return "?";
-}
-
-const char* serve_outcome_name(ServeOutcome outcome) noexcept {
-  switch (outcome) {
-    case ServeOutcome::kOk: return "ok";
-    case ServeOutcome::kDegraded: return "degraded";
-    case ServeOutcome::kDropped: return "dropped";
   }
   return "?";
 }
@@ -171,10 +134,7 @@ struct ModelServer::Model {
   std::unique_ptr<BatchRunner> runner;
   std::deque<Pending> queue;
   bool running = false;  ///< a batch is in flight (per-model serialisation)
-  bool degraded = false;
-  int cooldown_left = 0;
-  int health_strikes = 0;    ///< consecutive unhealthy batches
-  bool quarantined = false;  ///< next batch must pass a reload() probe
+  HealthGate gate;
   /// kBlock submitters parked in room_cv_: counted so the shutdown
   /// accounting can see requests that are submitted but neither queued
   /// nor resolved yet.
@@ -208,6 +168,7 @@ int ModelServer::add_model(ServedModelConfig config,
   OCB_CHECK_MSG(config.batch_window_ms >= 0.0,
                 "batch_window_ms must be >= 0");
   auto model = std::make_unique<Model>();
+  model->gate = HealthGate(config.degraded_cooldown, config.quarantine_after);
   model->config = std::move(config);
   model->runner = std::move(runner);
   model->telemetry.name = model->config.name;
@@ -217,11 +178,6 @@ int ModelServer::add_model(ServedModelConfig config,
   OCB_CHECK_MSG(!stopping_, "add_model after shutdown");
   models_.push_back(std::move(model));
   return static_cast<int>(models_.size()) - 1;
-}
-
-std::size_t ModelServer::model_count() const {
-  MutexLock lock(mutex_);
-  return models_.size();
 }
 
 std::future<ServeResult> ModelServer::submit(int id, ServeRequest request) {
@@ -248,11 +204,9 @@ std::future<ServeResult> ModelServer::submit(int id, ServeRequest request) {
       ++m.telemetry.dropped;
       resolve_immediately = true;
       immediate_outcome = ServeOutcome::kDropped;
-    } else if (m.degraded && m.cooldown_left > 0) {
-      // Degraded cooldown: answer immediately without touching the
-      // runner, exactly like a degraded streaming stage bypassing its
-      // executor.
-      --m.cooldown_left;
+    } else if (m.gate.admit() == HealthGate::Admit::kBypass) {
+      // Cooldown: answer immediately without touching the runner,
+      // exactly like a benched streaming stage bypassing its executor.
       ++m.telemetry.degraded;
       resolve_immediately = true;
       immediate_outcome = ServeOutcome::kDegraded;
@@ -376,8 +330,9 @@ void ModelServer::worker_loop() {
       m->queue.pop_front();
     }
     m->running = true;
-    const bool probing = m->quarantined;
-    const bool quarantine_on = m->config.quarantine_after > 0;
+    // A batch queued before the model was benched is gated at dispatch:
+    // bypassed during a cooldown, preceded by a reload() when probing.
+    const HealthGate::Admit admit = m->gate.admit();
     ++in_flight_;
     mutex_.unlock();
     room_cv_.notify_all();
@@ -387,58 +342,50 @@ void ModelServer::worker_loop() {
     // per-model serialisation (m->running) means the runner — including
     // the reload probe and health verdict — is never entered
     // concurrently, so it needs no locking of its own.
-    std::vector<ServeRequest> requests;
-    requests.reserve(batch.size());
-    for (Pending& p : batch) requests.push_back(p.request);
-    bool reload_ok = true;
-    if (probing) reload_ok = m->runner->reload();
+    const bool reload_ok =
+        admit != HealthGate::Admit::kProbe || safe_reload(*m->runner);
+    const bool run = admit != HealthGate::Admit::kBypass && reload_ok;
+    BatchRunner::BatchOutput out;
+    bool threw = false;
+    bool healthy = true;
     const auto dispatch = Clock::now();
-    BatchRunner::BatchOutput out = m->runner->run(requests);
-    const auto done = Clock::now();
-    const bool batch_healthy =
-        !quarantine_on || (reload_ok && m->runner->healthy());
-
-    mutex_.lock();
-    const double per_frame_ms = out.batch_ms / static_cast<double>(take);
-    const bool timed_out =
-        m->config.timeout_ms > 0.0 && per_frame_ms > m->config.timeout_ms;
-    ModelServeTelemetry& t = m->telemetry;
-    ++t.batches;
-    t.batched_frames += take;
-    t.largest_batch = std::max(t.largest_batch, take);
-    t.batch_ms.add(out.batch_ms);
-    for (const Pending& p : batch) {
-      t.queue_ms.add(elapsed_ms(p.enqueued, dispatch) / config_.time_scale);
-      t.serve_ms.add(elapsed_ms(p.enqueued, done) / config_.time_scale);
-      ++t.completed;
-    }
-    if (probing) ++t.reloads;
-    if (quarantine_on) {
-      if (!batch_healthy) {
-        // A failed checksum sweep (or failed reload probe) is a health
-        // strike; enough consecutive strikes — or any failure while
-        // already quarantined — (re-)enters quarantine: the model
-        // degrades for the cooldown, then the next batch re-probes.
-        ++t.unhealthy_batches;
-        if (m->quarantined ||
-            ++m->health_strikes >= m->config.quarantine_after) {
-          m->health_strikes = 0;
-          m->quarantined = true;
-          ++t.quarantines;
-          m->degraded = true;
-          m->cooldown_left = m->config.degraded_cooldown;
-        }
-      } else {
-        m->health_strikes = 0;
-        m->quarantined = false;  // probe passed: re-admit
+    if (run) {
+      std::vector<ServeRequest> requests;
+      requests.reserve(batch.size());
+      for (Pending& p : batch) requests.push_back(p.request);
+      try {
+        out = m->runner->run(requests);
+        if (m->config.quarantine_after > 0) healthy = m->runner->healthy();
+      } catch (const std::exception&) {
+        threw = true;  // a faulty runner degrades; it must not kill the worker
       }
     }
-    if (timed_out) {
-      ++t.timeouts;
-      m->degraded = true;
-      m->cooldown_left = m->config.degraded_cooldown;
-    } else if (m->degraded && !m->quarantined) {
-      m->degraded = false;  // successful probe: resume normal service
+    const auto done = Clock::now();
+    const bool served = run && !threw;
+
+    mutex_.lock();
+    ModelServeTelemetry& t = m->telemetry;
+    if (admit == HealthGate::Admit::kProbe) m->gate.probe_result(reload_ok);
+    if (run) {
+      const double per_frame_ms = out.batch_ms / static_cast<double>(take);
+      const bool timed_out =
+          m->config.timeout_ms > 0.0 && per_frame_ms > m->config.timeout_ms;
+      m->gate.record({threw || timed_out, threw || !healthy});
+      ++t.batches;
+      t.batched_frames += take;
+      t.largest_batch = std::max(t.largest_batch, take);
+      if (timed_out) ++t.timeouts;
+      if (threw || !healthy) ++t.unhealthy_batches;
+    }
+    if (served) {
+      t.completed += take;
+      t.batch_ms.add(out.batch_ms);
+      for (const Pending& p : batch) {
+        t.queue_ms.add(elapsed_ms(p.enqueued, dispatch) / config_.time_scale);
+        t.serve_ms.add(elapsed_ms(p.enqueued, done) / config_.time_scale);
+      }
+    } else {
+      t.degraded += take;
     }
     m->running = false;
     --in_flight_;
@@ -446,7 +393,7 @@ void ModelServer::worker_loop() {
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
       ServeResult r;
-      r.outcome = ServeOutcome::kOk;
+      r.outcome = served ? ServeOutcome::kOk : ServeOutcome::kDegraded;
       r.frame = batch[i].request.frame;
       r.batch_size = static_cast<int>(take);
       r.queue_ms =
@@ -521,7 +468,11 @@ ServerReport ModelServer::report() const {
   MutexLock lock(mutex_);
   ServerReport report;
   report.models.reserve(models_.size());
-  for (const auto& m : models_) report.models.push_back(m->telemetry);
+  for (const auto& m : models_) {
+    ModelServeTelemetry& t = report.models.emplace_back(m->telemetry);
+    t.quarantines = m->gate.quarantines();
+    t.reloads = m->gate.reloads();
+  }
   report.wall_ms = elapsed_ms(start_, Clock::now()) / config_.time_scale;
   return report;
 }

@@ -14,10 +14,10 @@
 //    widened GEMM per conv layer), amortising per-layer dispatch the
 //    way CUDA batching amortises kernel launches.
 //  * Admission control — each model has a bounded request queue with
-//    the streaming DropPolicy semantics, and a degrade/cooldown/probe
-//    state machine mirroring the stage watchdog: a model whose batch
-//    overruns its budget answers requests immediately (kDegraded)
-//    for a cooldown, then probes the runner again.
+//    the streaming DropPolicy semantics, and the HealthGate the stages
+//    use (health_gate.hpp): a model whose batch overruns its budget or
+//    throws answers kDegraded immediately for a cooldown, and a
+//    quarantined model serves nothing until a reload() probe passes.
 //
 // Requests resolve through std::future; a request is never lost —
 // dropped or degraded submissions resolve with the matching outcome.
@@ -54,11 +54,9 @@ const char* serve_priority_name(ServePriority priority) noexcept;
 
 enum class ServeOutcome {
   kOk,        ///< inference ran, payload attached
-  kDegraded,  ///< bypassed: the model is cooling down after a timeout
+  kDegraded,  ///< bypassed: model benched (DESIGN.md §14) or runner threw
   kDropped,   ///< rejected by admission control or server shutdown
 };
-
-const char* serve_outcome_name(ServeOutcome outcome) noexcept;
 
 /// One frame's inference request.
 struct ServeRequest {
@@ -174,12 +172,12 @@ struct ServedModelConfig {
   /// Degrade when a batch's per-frame latency exceeds this budget
   /// (stream-clock ms; 0 disables the watchdog machinery).
   double timeout_ms = 0.0;
-  /// Requests answered kDegraded before the next batch probes again.
+  /// Requests (or queued batches) answered kDegraded after a fault.
   int degraded_cooldown = 8;
-  /// Quarantine after this many consecutive unhealthy batches
-  /// (BatchRunner::healthy() == false): the model degrades for
-  /// `degraded_cooldown` requests, then the next batch is preceded by
-  /// a BatchRunner::reload() probe before re-admission. 0 disables.
+  /// Quarantine after this many consecutive unhealthy batches (threw or
+  /// healthy() == false): after the cooldown the next batch runs only if
+  /// a BatchRunner::reload() probe passes (DESIGN.md §14). 0 disables
+  /// quarantine and healthy() is never called.
   int quarantine_after = 0;
 };
 
@@ -192,7 +190,7 @@ struct ModelServeTelemetry {
   std::uint64_t dropped = 0;    ///< requests resolved kDropped
   std::uint64_t degraded = 0;   ///< requests resolved kDegraded (bypass)
   std::uint64_t timeouts = 0;   ///< batches over the latency budget
-  std::uint64_t unhealthy_batches = 0;  ///< healthy() == false verdicts
+  std::uint64_t unhealthy_batches = 0;  ///< threw or healthy() == false
   std::uint64_t quarantines = 0;        ///< quarantine entries
   std::uint64_t reloads = 0;            ///< reload() probes attempted
   std::uint64_t batches = 0;    ///< runner invocations
@@ -249,7 +247,7 @@ class ModelServer {
   int add_model(ServedModelConfig config, std::unique_ptr<BatchRunner> runner);
 
   /// Enqueue a request. The future always resolves: kOk with payload,
-  /// kDegraded (cooldown bypass, immediate), or kDropped (admission
+  /// kDegraded (benched model, throwing runner), or kDropped (admission
   /// rejection or shutdown). kBlock admission waits for queue room.
   std::future<ServeResult> submit(int model, ServeRequest request);
 
@@ -270,7 +268,6 @@ class ModelServer {
   ServerReport report() const;
 
   const ServerConfig& config() const noexcept { return config_; }
-  std::size_t model_count() const;
 
  private:
   struct Pending;

@@ -10,6 +10,7 @@
 #include "core/error.hpp"
 #include "core/thread_annotations.hpp"
 #include "parallel/thread_pool.hpp"
+#include "runtime/health_gate.hpp"
 
 namespace ocb::runtime {
 namespace {
@@ -66,38 +67,23 @@ struct StageOut {
   bool degraded = false;
 };
 
-/// Per-run state of one stage. Counters below the atomics are private
+/// Per-run state of one stage. Fields below the atomics are private
 /// to the stage's worker thread and read only after the worker joins.
 struct StageRuntime {
   Executor* executor = nullptr;
   std::unique_ptr<BoundedQueue<StreamTask>> in;
   std::unique_ptr<BoundedQueue<StageOut>> out;  // parallel mode only
 
-  std::atomic<bool> busy{false};
-  std::atomic<double> busy_since_ms{0.0};  // wall clock
-  std::atomic<bool> degraded{false};
+  std::atomic<double> busy_since_ms{-1.0};  // wall clock; < 0 when idle
+  std::atomic<bool> timed_out{false};       // set by the watchdog, per run
   std::atomic<std::uint64_t> timeouts{0};
 
   std::uint64_t frames_in = 0;
   std::uint64_t frames_out = 0;
   std::uint64_t degraded_frames = 0;
-  int cooldown_left = 0;
-  int health_strikes = 0;    ///< consecutive executor-reported kDegraded
-  bool quarantined = false;  ///< must reload() successfully to re-admit
-  std::uint64_t quarantines = 0;
-  std::uint64_t reloads = 0;
+  HealthGate gate;
   LatencyRecorder latency;
 };
-
-/// Executor::reload() under the same fault isolation as run(): a
-/// throwing reload counts as a failed probe, not a dead stream.
-bool safe_reload(Executor& executor) {
-  try {
-    return executor.reload();
-  } catch (const std::exception&) {
-    return false;
-  }
-}
 
 }  // namespace
 
@@ -131,6 +117,8 @@ StreamReport StreamingPipeline::run(FrameSource& source, int max_frames) {
   std::vector<StageRuntime> stages(n);
   for (std::size_t i = 0; i < n; ++i) {
     stages[i].executor = stages_[i].get();
+    stages[i].gate =
+        HealthGate(cfg.degraded_cooldown_frames, cfg.quarantine_after);
     stages[i].in = std::make_unique<BoundedQueue<StreamTask>>(
         cfg.queue_capacity, cfg.drop_policy);
     if (!sequential)
@@ -141,30 +129,17 @@ StreamReport StreamingPipeline::run(FrameSource& source, int max_frames) {
   // that survived every stage are never shed at the sink.
   BoundedQueue<StreamTask> sink_queue(cfg.queue_capacity, DropPolicy::kBlock);
 
-  // Runs one frame through a stage's executor, honouring the degraded
-  // state machine: a degraded stage bypasses its executor for
-  // `degraded_cooldown_frames` frames, then probes it again.
+  // Runs one frame through a stage's executor under its HealthGate
+  // (DESIGN.md §14): a benched stage bypasses its executor, and a
+  // quarantined one must pass a reload() probe before it runs again.
   const auto process = [&](StageRuntime& st, const StreamTask& task,
                            double& latency_out) -> StageStatus {
-    if (st.cooldown_left > 0) {
-      --st.cooldown_left;
-      if (st.cooldown_left == 0) {
-        // A quarantined stage must prove itself before re-admission:
-        // reload its executor, and serve another cooldown on failure.
-        if (st.quarantined) {
-          ++st.reloads;
-          if (safe_reload(*st.executor)) {
-            st.quarantined = false;
-            st.degraded.store(false);
-          } else {
-            st.cooldown_left = std::max(1, cfg.degraded_cooldown_frames);
-          }
-        } else {
-          st.degraded.store(false);
-        }
-      }
+    latency_out = 0.0;
+    const HealthGate::Admit admit = st.gate.admit();
+    if (admit == HealthGate::Admit::kBypass ||
+        (admit == HealthGate::Admit::kProbe &&
+         !st.gate.probe_result(safe_reload(*st.executor)))) {
       ++st.degraded_frames;
-      latency_out = 0.0;
       return StageStatus::kSkipped;
     }
     FrameContext ctx;
@@ -173,8 +148,8 @@ StreamReport StreamingPipeline::run(FrameSource& source, int max_frames) {
     ctx.image = task.frame.image.empty() ? nullptr : &task.frame.image;
 
     const double t0 = wall_ms();
+    st.timed_out.store(false);
     st.busy_since_ms.store(t0);
-    st.busy.store(true);
     FrameResult result;
     bool threw = false;
     try {
@@ -182,59 +157,24 @@ StreamReport StreamingPipeline::run(FrameSource& source, int max_frames) {
     } catch (const std::exception&) {
       threw = true;  // a faulty stage degrades; it must not kill the stream
     }
-    st.busy.store(false);
+    st.busy_since_ms.store(-1.0);
     const double elapsed = wall_ms() - t0;
 
-    StageStatus status = StageStatus::kOk;
-    // Health strikes: an executor that *reports* kDegraded (failed
-    // weight checksum, tripped plausibility check) is unhealthy even
-    // though it returned normally. quarantine_after consecutive
-    // unhealthy frames (throws count too) trip quarantine.
-    const bool reported_degraded =
-        !threw && result.status == StageStatus::kDegraded;
-    bool quarantine_now = false;
-    if (cfg.quarantine_after > 0) {
-      if (threw || reported_degraded) {
-        if (++st.health_strikes >= cfg.quarantine_after) {
-          st.health_strikes = 0;
-          st.quarantined = true;
-          ++st.quarantines;
-          quarantine_now = true;
-        }
-      } else {
-        st.health_strikes = 0;
-      }
-    }
-    if (threw || quarantine_now || st.degraded.load()) {
-      status = StageStatus::kDegraded;
-      ++st.degraded_frames;
-      if (cfg.degraded_cooldown_frames > 0) {
-        st.degraded.store(true);
-        st.cooldown_left = cfg.degraded_cooldown_frames;
-      } else if (st.quarantined) {
-        // No bypass window configured: probe the reload immediately so
-        // a quarantined stage cannot wedge in the degraded state.
-        ++st.reloads;
-        st.quarantined = !safe_reload(*st.executor);
-        st.degraded.store(false);
-      } else {
-        st.degraded.store(false);
-      }
-    } else if (reported_degraded && cfg.quarantine_after > 0) {
-      // Unhealthy but below the quarantine threshold: the frame is
-      // flagged, the stage keeps running. (With quarantine disabled,
-      // executor-reported status passes through untouched — the
-      // pre-quarantine contract.)
-      status = StageStatus::kDegraded;
-      ++st.degraded_frames;
-    }
-    latency_out = threw ? 0.0 : result.latency_ms;
+    // A throw or a watchdog timeout benches the stage for the cooldown.
+    // A throw or a *reported* kDegraded (failed weight checksum, tripped
+    // plausibility check) is a health strike; with quarantine off the
+    // reported status passes through as kOk, the pre-quarantine contract.
+    const bool counted = st.gate.record(
+        {threw || st.timed_out.load(),
+         threw || result.status == StageStatus::kDegraded});
+    if (counted) ++st.degraded_frames;
     if (!threw) {
+      latency_out = result.latency_ms;
       st.latency.add(latency_out);
       if (cfg.emulate_occupancy)
         sleep_wall_ms(latency_out * cfg.time_scale - elapsed);
     }
-    return status;
+    return counted ? StageStatus::kDegraded : StageStatus::kOk;
   };
 
   // --- launch source, stage workers and watchdog on the pool ---------
@@ -312,9 +252,10 @@ StreamReport StreamingPipeline::run(FrameSource& source, int max_frames) {
       while (!done.wait_for(period)) {
         const double now = wall_ms();
         for (StageRuntime& st : stages) {
-          if (!st.busy.load()) continue;
-          if (now - st.busy_since_ms.load() > budget_wall)
-            if (!st.degraded.exchange(true)) st.timeouts.fetch_add(1);
+          const double since = st.busy_since_ms.load();
+          if (since >= 0.0 && now - since > budget_wall &&
+              !st.timed_out.exchange(true))
+            st.timeouts.fetch_add(1);
         }
       }
     }));
@@ -366,8 +307,8 @@ StreamReport StreamingPipeline::run(FrameSource& source, int max_frames) {
     t.queue_dropped = st.in->dropped();
     t.degraded = st.degraded_frames;
     t.timeouts = st.timeouts.load();
-    t.quarantines = st.quarantines;
-    t.reloads = st.reloads;
+    t.quarantines = st.gate.quarantines();
+    t.reloads = st.gate.reloads();
     t.queue_high_water = st.in->high_water();
     t.queue_capacity = st.in->capacity();
     t.latency = st.latency;

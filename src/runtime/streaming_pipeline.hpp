@@ -5,8 +5,8 @@
 // run as long-lived tasks on a ThreadPool, connected by bounded queues
 // whose backpressure policy (block / drop-oldest / drop-newest)
 // decides what happens when a stage falls behind a 30 FPS feed. A
-// watchdog marks a stage that overruns its timeout as degraded — the
-// stage bypasses its executor for a cooldown, then probes again — so a
+// watchdog flags a run that overruns its timeout and the stage's
+// HealthGate benches it for a cooldown of bypassed frames, so a
 // stalled model slows the stream instead of wedging it. Per-stage and
 // end-to-end telemetry (frames in/out/dropped, queue high-water marks,
 // p50/p95/p99 latency, deadline misses) is folded into a StreamReport.
@@ -39,13 +39,12 @@ struct StreamConfig {
   double deadline_ms = 1000.0 / 30.0;  ///< per-frame end-to-end budget
   double stage_timeout_ms = 0.0;       ///< watchdog budget; 0 disables
   double watchdog_period_ms = 2.0;     ///< watchdog poll interval
-  int degraded_cooldown_frames = 8;    ///< bypassed frames before a probe
+  int degraded_cooldown_frames = 8;    ///< bypassed frames after a fault
   /// Health-based quarantine (DESIGN.md §14): a stage whose executor
-  /// *reports* kDegraded (a failed checksum, a tripped plausibility
-  /// check) this many consecutive times is quarantined — bypassed for
-  /// the cooldown, then Executor::reload()ed and probed before
-  /// re-admission. 0 disables (kDegraded results pass through
-  /// unpunished, the pre-quarantine behaviour).
+  /// throws or *reports* kDegraded (failed checksum, tripped plausibility
+  /// check) this many consecutive times is quarantined; after the
+  /// cooldown a frame runs only if Executor::reload() passes. 0 disables
+  /// (reported kDegraded passes through as kOk).
   int quarantine_after = 0;
   bool emulate_occupancy = false;      ///< sleep stages for modelled latency
   double time_scale = 1.0;             ///< real seconds per stream second

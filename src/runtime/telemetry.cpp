@@ -59,9 +59,7 @@ void LatencyRecorder::merge(const LatencyRecorder& other) noexcept {
   count_ += other.count_;
 }
 
-namespace {
-
-void append_fixed(std::ostringstream& os, double v, int precision = 2) {
+void append_fixed(std::ostringstream& os, double v, int precision) {
   os << std::fixed << std::setprecision(precision) << v;
 }
 
@@ -89,8 +87,6 @@ std::string escape_json(const std::string& s) {
   }
   return out;
 }
-
-}  // namespace
 
 std::string StreamReport::to_text() const {
   std::ostringstream os;

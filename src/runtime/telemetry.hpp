@@ -10,6 +10,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,12 @@ struct StageTelemetry {
   std::size_t queue_capacity = 0;
   LatencyRecorder latency;        ///< per-frame executor latency (ms)
 };
+
+/// JSON rendering shared by StreamReport and ServerReport.
+void append_fixed(std::ostringstream& os, double v, int precision = 2);
+void append_recorder_json(std::ostringstream& os, const char* key,
+                          const LatencyRecorder& rec);
+std::string escape_json(const std::string& s);
 
 /// Whole-pipeline summary of a streaming run.
 struct StreamReport {

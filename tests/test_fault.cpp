@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -432,6 +433,94 @@ TEST(ServingQuarantine, InjectDetectQuarantineReloadReadmit) {
   EXPECT_GE(report.models[0].reloads, 1u);
   EXPECT_GE(report.models[0].unhealthy_batches, 1u);
   server.shutdown();
+}
+
+TEST(ServingQuarantine, FailedReloadNeverServes) {
+  // No re-admission without a successful reload: a runner that is
+  // unhealthy once and whose first reload() fails must answer nothing
+  // kOk from quarantine entry until a reload passes. The runner logs
+  // every call in order, so the window is read off its own history.
+  struct Call {
+    enum Kind { kRun, kUnhealthy, kReloadFail, kReloadOk } kind;
+    int frame;
+  };
+  class FlakyRunner final : public runtime::BatchRunner {
+   public:
+    explicit FlakyRunner(std::vector<Call>& log) : log_(&log) {}
+    BatchOutput run(const std::vector<runtime::ServeRequest>& batch) override {
+      for (const runtime::ServeRequest& r : batch)
+        log_->push_back({Call::kRun, r.frame});
+      BatchOutput out;
+      out.batch_ms = 1.0;
+      out.payloads.assign(batch.size(), nullptr);
+      return out;
+    }
+    bool healthy() override {
+      if (healthy_calls_++ != 0) return true;
+      log_->push_back({Call::kUnhealthy, -1});
+      return false;
+    }
+    bool reload() override {
+      const bool ok = reload_calls_++ != 0;
+      log_->push_back({ok ? Call::kReloadOk : Call::kReloadFail, -1});
+      return ok;
+    }
+
+   private:
+    std::vector<Call>* log_;
+    int healthy_calls_ = 0;
+    int reload_calls_ = 0;
+  };
+
+  std::vector<Call> log;
+  runtime::ModelServer server{runtime::ServerConfig{}};
+  runtime::ServedModelConfig cfg;
+  cfg.name = "flaky";
+  cfg.max_batch = 1;
+  cfg.batch_window_ms = 0.0;
+  cfg.degraded_cooldown = 2;
+  cfg.quarantine_after = 1;
+  const int handle =
+      server.add_model(cfg, std::make_unique<FlakyRunner>(log));
+
+  constexpr int kFrames = 10;
+  std::vector<runtime::ServeOutcome> outcomes;
+  for (int frame = 0; frame < kFrames; ++frame)
+    outcomes.push_back(server.serve(handle, {frame, nullptr}).outcome);
+
+  // Frames the runner ran between the unhealthy verdict and the first
+  // passed reload: there must be none, and none of them may be kOk.
+  bool benched = false;
+  std::vector<int> ran_while_benched;
+  for (const Call& c : log) {
+    if (c.kind == Call::kUnhealthy) benched = true;
+    if (c.kind == Call::kReloadOk) benched = false;
+    if (c.kind == Call::kRun && benched) ran_while_benched.push_back(c.frame);
+  }
+  EXPECT_TRUE(ran_while_benched.empty())
+      << "first frame run while quarantined: " << ran_while_benched.front();
+  int ok_frames = 0;
+  for (const Call& c : log)
+    if (c.kind == Call::kRun) {
+      EXPECT_EQ(outcomes[static_cast<std::size_t>(c.frame)],
+                runtime::ServeOutcome::kOk);
+      ++ok_frames;
+    }
+  EXPECT_EQ(std::count(outcomes.begin(), outcomes.end(),
+                       runtime::ServeOutcome::kOk),
+            ok_frames);
+  // Frame 0 ran and tripped quarantine; 1-2 cooled down; frame 3's
+  // probe failed (bypassed); 4-5 cooled down again; frame 6's probe
+  // passed and service resumed.
+  EXPECT_EQ(outcomes[3], runtime::ServeOutcome::kDegraded);
+  EXPECT_EQ(outcomes[6], runtime::ServeOutcome::kOk);
+
+  EXPECT_NO_THROW(server.shutdown());
+  const runtime::ModelServeTelemetry t = server.report().models[0];
+  EXPECT_EQ(t.submitted, static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(t.completed + t.degraded + t.dropped, t.submitted);
+  EXPECT_EQ(t.quarantines, 1u);
+  EXPECT_EQ(t.reloads, 2u);
 }
 
 TEST(ServingQuarantine, HealthyModelNeverQuarantined) {

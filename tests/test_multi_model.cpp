@@ -9,6 +9,7 @@
 #include <algorithm>
 #include "core/error.hpp"
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <mutex>
@@ -569,6 +570,50 @@ TEST(ModelServer, FailedProbeReentersCooldown) {
   EXPECT_EQ(server.serve(h, {3, nullptr}).outcome, ServeOutcome::kOk);
   EXPECT_EQ(server.serve(h, {4, nullptr}).outcome, ServeOutcome::kDegraded);
   EXPECT_EQ(server.report().models[0].timeouts, 2u);
+}
+
+TEST(ModelServer, ThrowingRunnerDoesNotKillWorker) {
+  // A runner whose first batch throws must cost that batch (resolved
+  // kDegraded), not the worker: the next request is still served and
+  // the no-lost-request ledger holds at shutdown.
+  class FlakyRunner final : public BatchRunner {
+   public:
+    BatchOutput run(const std::vector<ServeRequest>& batch) override {
+      if (calls_++ == 0) throw Error("injected runner fault");
+      BatchOutput out;
+      out.batch_ms = 1.0;
+      out.payloads.assign(batch.size(), nullptr);
+      return out;
+    }
+
+   private:
+    int calls_ = 0;
+  };
+
+  ModelServer server;
+  auto cfg = quick_model("m", ServePriority::kNormal);
+  cfg.max_batch = 1;
+  cfg.degraded_cooldown = 0;  // the next request goes to the worker
+  const int h = server.add_model(cfg, std::make_unique<FlakyRunner>());
+
+  std::future<ServeResult> first = server.submit(h, {0, nullptr});
+  ASSERT_EQ(first.wait_for(std::chrono::seconds(2)),
+            std::future_status::ready);
+  ServeOutcome first_outcome = ServeOutcome::kOk;
+  EXPECT_NO_THROW(first_outcome = first.get().outcome);
+  EXPECT_EQ(first_outcome, ServeOutcome::kDegraded);
+
+  std::future<ServeResult> second = server.submit(h, {1, nullptr});
+  ASSERT_EQ(second.wait_for(std::chrono::seconds(2)),
+            std::future_status::ready);
+  EXPECT_EQ(second.get().outcome, ServeOutcome::kOk);
+
+  EXPECT_NO_THROW(server.shutdown());
+  const ModelServeTelemetry t = server.report().models[0];
+  EXPECT_EQ(t.degraded, 1u);
+  EXPECT_EQ(t.completed, 1u);
+  EXPECT_EQ(t.batches, 2u);
+  EXPECT_EQ(t.unhealthy_batches, 1u);
 }
 
 TEST(ModelServer, ShutdownDrainsQueuedRequests) {

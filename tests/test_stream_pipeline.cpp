@@ -495,6 +495,54 @@ TEST(StreamingPipeline, ReportedDegradedStrikesLeadToQuarantine) {
   EXPECT_GT(report.frames_degraded, 0u);
 }
 
+TEST(StreamingPipeline, FailedReloadNeverRunsTheStage) {
+  // No re-admission without a successful reload, even with no cooldown:
+  // after the quarantining frame, the executor must not run again until
+  // a reload() passes, and a failed reload skips its frame.
+  class FlakyReloadExecutor final : public Executor {
+   public:
+    FrameResult run(const FrameContext& ctx) override {
+      log.push_back(ctx.index);
+      const StageStatus status =
+          ctx.index == 2 ? StageStatus::kDegraded : StageStatus::kOk;
+      return {1.0, name_, status, nullptr};
+    }
+    bool reload() override {
+      log.push_back(++reloads > 1 ? kReloadOk : kReloadFail);
+      return reloads > 1;
+    }
+    const std::string& name() const noexcept override { return name_; }
+    enum : int { kReloadFail = -1, kReloadOk = -2 };
+    std::vector<int> log;  ///< frames run, and reload outcomes, in order
+    int reloads = 0;
+
+   private:
+    std::string name_ = "flaky-reload";
+  };
+
+  auto owned = std::make_unique<FlakyReloadExecutor>();
+  FlakyReloadExecutor* executor = owned.get();
+  PipelineBuilder builder;
+  builder.stage(std::move(owned))
+      .quarantine_after(1)
+      .degraded_cooldown_frames(0)
+      .deadline_ms(1000.0);
+  auto pipeline = builder.build_streaming();
+  SyntheticSource source(10, 30.0);
+  const StreamReport report = pipeline->run(source);
+
+  // Frame 2 quarantines; frame 3's probe fails (skipped), frame 4 is the
+  // fresh max(1, cooldown) bypass, frame 5's probe passes and runs.
+  const std::vector<int> expected = {
+      0, 1, 2, FlakyReloadExecutor::kReloadFail,
+      FlakyReloadExecutor::kReloadOk, 5, 6, 7, 8, 9};
+  EXPECT_EQ(executor->log, expected);
+  EXPECT_EQ(report.frames_completed, 10u);
+  EXPECT_EQ(report.stages[0].quarantines, 1u);
+  EXPECT_EQ(report.stages[0].reloads, 2u);
+  EXPECT_EQ(report.stages[0].degraded, 3u);  // frame 2 flagged, 3-4 skipped
+}
+
 TEST(StreamingPipeline, DegradedReportsPassThroughWithoutQuarantineOptIn) {
   // quarantine_after = 0 (the default) preserves the pre-quarantine
   // contract: a stage may report kDegraded forever without being
