@@ -9,13 +9,13 @@
 // legacy (pre-planner, im2col-everywhere) engine and reports the frame
 // speedup plus the maximum output divergence.
 //
-// Emits BENCH_planner.json (top-level "bench": "planner") consumed by
-// scripts/check_bench_regression.py --mode planner in CI: the planner
-// must put at least one trunk stage on Winograd with a >= 1.5× measured
-// layer speedup, and no chosen path may measure slower than im2col.
+// Writes the BENCH_planner.json record file (bench "planner") that
+// scripts/check_bench_regression.py gates in CI: the planner must put
+// at least one trunk stage on Winograd with a >= 1.5× measured layer
+// speedup, and no chosen path may measure slower than im2col. Layer
+// records carry the chosen algorithm as their variant.
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -209,43 +209,6 @@ ModelResult bench_model(const nn::Graph& graph, const std::string& name,
   return result;
 }
 
-std::string to_json(const std::vector<LayerResult>& layers,
-                    const std::vector<ModelResult>& model_results) {
-  std::ostringstream out;
-  out << "{\n  \"bench\": \"planner\",\n";
-  out << "  \"simd\": \"" << simd::level_name(simd::active()) << "\",\n";
-  out << "  \"layers\": [\n";
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const LayerResult& l = layers[i];
-    out << "    {\"label\": \"" << l.label << "\", \"in_c\": " << l.key.in_c
-        << ", \"h\": " << l.key.in_h << ", \"w\": " << l.key.in_w
-        << ", \"out_c\": " << l.key.out_c << ", \"kernel\": " << l.key.kernel
-        << ", \"stride\": " << l.key.stride
-        << ", \"chosen\": \"" << nn::conv_algo_name(l.plan.algo) << "\""
-        << ", \"est_ms\": " << l.plan.est_ms
-        << ", \"est_im2col_ms\": " << l.plan.est_im2col_ms
-        << ", \"est_speedup\": " << l.est_speedup()
-        << ", \"im2col_ms\": " << l.im2col_ms
-        << ", \"chosen_ms\": " << l.chosen_ms
-        << ", \"speedup\": " << l.speedup() << "}"
-        << (i + 1 < layers.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"models\": [\n";
-  for (std::size_t i = 0; i < model_results.size(); ++i) {
-    const ModelResult& m = model_results[i];
-    out << "    {\"name\": \"" << m.name
-        << "\", \"legacy_ns_frame\": " << m.legacy_ns_frame
-        << ", \"planned_ns_frame\": " << m.planned_ns_frame
-        << ", \"speedup\": " << m.speedup()
-        << ", \"winograd_nodes\": " << m.winograd_nodes
-        << ", \"direct_nodes\": " << m.direct_nodes
-        << ", \"max_abs_diff\": " << m.max_abs_diff << "}"
-        << (i + 1 < model_results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  return out.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -287,6 +250,7 @@ int main(int argc, char** argv) {
     model_results.push_back(bench_model(graph, v.tag, min_seconds));
   }
 
+  bench::Records records;
   ResultTable layer_table(
       std::string("Planner-chosen conv path vs im2col (simd: ") +
           simd::level_name(simd::active()) + ")",
@@ -303,6 +267,20 @@ int main(int argc, char** argv) {
     std::ostringstream shape;
     shape << layer.key.in_c << "x" << layer.key.in_h << "x" << layer.key.in_w
           << "->" << layer.key.out_c;
+    const std::string algo = nn::conv_algo_name(layer.plan.algo);
+    records.add(layer.label, algo, "in_c", layer.key.in_c, "count");
+    records.add(layer.label, algo, "h", layer.key.in_h, "px");
+    records.add(layer.label, algo, "w", layer.key.in_w, "px");
+    records.add(layer.label, algo, "out_c", layer.key.out_c, "count");
+    records.add(layer.label, algo, "kernel", layer.key.kernel, "px");
+    records.add(layer.label, algo, "stride", layer.key.stride, "px");
+    records.add(layer.label, algo, "est_ms", layer.plan.est_ms, "ms");
+    records.add(layer.label, algo, "est_im2col_ms", layer.plan.est_im2col_ms,
+                "ms");
+    records.add(layer.label, algo, "est_speedup", layer.est_speedup(), "x");
+    records.add(layer.label, algo, "im2col_ms", layer.im2col_ms, "ms");
+    records.add(layer.label, algo, "chosen_ms", layer.chosen_ms, "ms");
+    records.add(layer.label, algo, "layer_speedup", layer.speedup(), "x");
     layer_table.row()
         .cell(layer.label)
         .cell(shape.str())
@@ -320,6 +298,13 @@ int main(int argc, char** argv) {
       {"model", "legacy ms", "planned ms", "speedup", "wino", "direct",
        "max |diff|"});
   for (const ModelResult& m : model_results) {
+    records.add(m.name, "legacy", "ns_frame", m.legacy_ns_frame, "ns");
+    records.add(m.name, "planned", "ns_frame", m.planned_ns_frame, "ns");
+    records.add(m.name, "planned", "frame_speedup", m.speedup(), "x");
+    records.add(m.name, "planned", "winograd_nodes", m.winograd_nodes,
+                "count");
+    records.add(m.name, "planned", "direct_nodes", m.direct_nodes, "count");
+    records.add(m.name, "planned", "max_abs_diff", m.max_abs_diff, "abs");
     model_table.row()
         .cell(m.name)
         .cell(m.legacy_ns_frame * 1e-6, 3)
@@ -331,11 +316,6 @@ int main(int argc, char** argv) {
   }
 
   bench::emit(cli, {layer_table, model_table});
-
-  if (!cli.string("out").empty()) {
-    std::ofstream file(cli.string("out"));
-    file << to_json(layers, model_results);
-    std::cout << "wrote " << cli.string("out") << '\n';
-  }
+  records.write(cli.string("out"), "planner");
   return 0;
 }

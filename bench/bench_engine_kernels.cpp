@@ -4,12 +4,10 @@
 // [out_c × in_c·k·k] by wide [in_c·k·k × oh·ow] matrices like the ones
 // im2col produces — and (b) end-to-end Engine::run ns/frame for the
 // Ocularone VIP models at a reduced input scale, with the SIMD
-// dispatcher forced off and on. Emits the aligned tables plus a
-// machine-readable BENCH_kernels.json consumed by
-// scripts/check_bench_regression.py in CI.
+// dispatcher forced off and on. Emits the aligned tables plus the
+// BENCH_kernels.json record file that scripts/check_bench_regression.py
+// gates in CI.
 #include <chrono>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -158,39 +156,6 @@ ModelResult bench_model(models::ModelId id, double input_scale,
   return result;
 }
 
-std::string to_json(const std::vector<GemmResult>& gemms,
-                    const std::vector<ModelResult>& model_results) {
-  std::ostringstream out;
-  out << "{\n  \"simd\": \"" << simd::level_name(simd::active()) << "\",\n";
-  out << "  \"gemm\": [\n";
-  for (std::size_t i = 0; i < gemms.size(); ++i) {
-    const GemmResult& g = gemms[i];
-    out << "    {\"label\": \"" << g.shape.label << "\", \"m\": " << g.shape.m
-        << ", \"k\": " << g.shape.k << ", \"n\": " << g.shape.n
-        << ", \"scalar_gflops\": " << g.scalar_gflops
-        << ", \"simd_gflops\": " << g.simd_gflops
-        << ", \"speedup\": " << g.speedup()
-        << ", \"scalar_path\": \"" << g.scalar_path << "\""
-        << ", \"simd_path\": \"" << g.simd_path << "\""
-        << ", \"int8_gops\": " << g.int8_gops
-        << ", \"int8_path\": \"" << g.int8_path << "\""
-        << ", \"int8_speedup\": " << g.int8_speedup() << "}"
-        << (i + 1 < gemms.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"models\": [\n";
-  for (std::size_t i = 0; i < model_results.size(); ++i) {
-    const ModelResult& m = model_results[i];
-    out << "    {\"name\": \"" << m.name
-        << "\", \"input_scale\": " << m.input_scale
-        << ", \"scalar_ns_frame\": " << m.scalar_ns_frame
-        << ", \"simd_ns_frame\": " << m.simd_ns_frame
-        << ", \"speedup\": " << m.speedup() << "}"
-        << (i + 1 < model_results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  return out.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -217,15 +182,26 @@ int main(int argc, char** argv) {
       {"head 1x1", 64, 128, 400},    {"square", 192, 192, 192},
   };
 
-  std::vector<GemmResult> gemms;
+  bench::Records records;
   ResultTable gemm_table(
       std::string("Packed GEMM, fused SiLU epilogue (simd: ") +
           simd::level_name(simd::active()) + ")",
       {"shape", "m", "k", "n", "scalar GF/s", "simd GF/s", "speedup",
        "int8 GOP/s", "int8/simd", "path"});
   for (const GemmShape& shape : shapes) {
-    gemms.push_back(bench_gemm_shape(shape, min_seconds));
-    const GemmResult& g = gemms.back();
+    const GemmResult g = bench_gemm_shape(shape, min_seconds);
+    const std::string label = g.shape.label;
+    records.add(label, "", "m", g.shape.m, "count");
+    records.add(label, "", "k", g.shape.k, "count");
+    records.add(label, "", "n", g.shape.n, "count");
+    records.add(label, "scalar", "gflops", g.scalar_gflops, "GFLOP/s");
+    records.add(label, "scalar", "path", g.scalar_path, "dispatch");
+    records.add(label, "simd", "gflops", g.simd_gflops, "GFLOP/s");
+    records.add(label, "simd", "path", g.simd_path, "dispatch");
+    records.add(label, "simd", "gemm_speedup", g.speedup(), "x");
+    records.add(label, "int8", "gops", g.int8_gops, "GOP/s");
+    records.add(label, "int8", "path", g.int8_path, "dispatch");
+    records.add(label, "int8", "gemm_speedup", g.int8_speedup(), "x");
     gemm_table.row()
         .cell(g.shape.label)
         .cell(static_cast<double>(g.shape.m), 0)
@@ -242,14 +218,16 @@ int main(int argc, char** argv) {
   const std::vector<models::ModelId> model_ids = {
       models::ModelId::kYoloV8n, models::ModelId::kTrtPose,
       models::ModelId::kMonodepth2};
-  std::vector<ModelResult> model_results;
   ResultTable model_table("Engine::run per frame (input scale " +
                               format_fixed(cli.real("input-scale"), 2) + ")",
                           {"model", "scalar ms", "simd ms", "speedup"});
   for (models::ModelId id : model_ids) {
-    model_results.push_back(
-        bench_model(id, cli.real("input-scale"), min_seconds));
-    const ModelResult& m = model_results.back();
+    const ModelResult m =
+        bench_model(id, cli.real("input-scale"), min_seconds);
+    records.add(m.name, "", "input_scale", m.input_scale, "x");
+    records.add(m.name, "scalar", "ns_frame", m.scalar_ns_frame, "ns");
+    records.add(m.name, "simd", "ns_frame", m.simd_ns_frame, "ns");
+    records.add(m.name, "simd", "frame_speedup", m.speedup(), "x");
     model_table.row()
         .cell(m.name)
         .cell(m.scalar_ns_frame * 1e-6, 2)
@@ -258,11 +236,6 @@ int main(int argc, char** argv) {
   }
 
   bench::emit(cli, {gemm_table, model_table});
-
-  if (!cli.string("out").empty()) {
-    std::ofstream file(cli.string("out"));
-    file << to_json(gemms, model_results);
-    std::cout << "wrote " << cli.string("out") << '\n';
-  }
+  records.write(cli.string("out"), "kernels");
   return 0;
 }

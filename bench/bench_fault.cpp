@@ -6,16 +6,15 @@
 // Engine::verify_weights, (d) the ModelServer quarantine/reload/
 // re-admit state machine's latency in frames, and (e) devsim
 // degradation modes (thermal throttle, bandwidth collapse) priced by
-// the roofline model. Emits BENCH_fault.json (top-level "bench":
-// "fault") consumed by scripts/check_bench_regression.py --mode fault
-// in CI, which gates: verify overhead <= 2% median frame latency,
+// the roofline model. Writes the BENCH_fault.json record file (bench
+// "fault") that scripts/check_bench_regression.py gates in CI: verify
+// overhead <= 2% median frame latency,
 // recovery restores bit-exact clean outputs, quarantine engages within
 // the configured frame budget and the model is re-admitted, and the
 // warmed verify-enabled frame path stays off the allocator.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -32,7 +31,6 @@
 #include "nn/profile.hpp"
 #include "runtime/model_server.hpp"
 #include "tensor/fault_hook.hpp"
-#include "tensor/simd.hpp"
 
 using namespace ocb;
 
@@ -297,64 +295,6 @@ std::uint64_t lane_fault_demo() {
   return fault_hook::corrupted_elements() - before;
 }
 
-std::string to_json(const std::vector<ModelFaultResult>& results,
-                    const DevsimResult& devsim_result, int verify_cadence,
-                    std::uint64_t lane_corrupted) {
-  double worst_overhead = 0.0;
-  for (const ModelFaultResult& r : results)
-    worst_overhead = std::max(worst_overhead, r.verify_overhead_pct);
-  std::ostringstream out;
-  out << "{\n  \"bench\": \"fault\",\n";
-  out << "  \"simd\": \"" << simd::level_name(simd::active()) << "\",\n";
-  out << "  \"alloc_counting\": "
-      << (alloc_counting_active() ? "true" : "false") << ",\n";
-  out << "  \"fault_hooks\": " << (fault_hook::compiled() ? "true" : "false")
-      << ",\n";
-  out << "  \"verify_cadence\": " << verify_cadence << ",\n";
-  out << "  \"verify_overhead_pct\": " << worst_overhead << ",\n";
-  out << "  \"lane_corrupted_elements\": " << lane_corrupted << ",\n";
-  out << "  \"models\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ModelFaultResult& r = results[i];
-    out << "    {\"name\": \"" << r.name
-        << "\", \"clean_ns_frame\": " << r.clean_ns_frame
-        << ", \"verify_ns_frame\": " << r.verify_ns_frame
-        << ", \"verify_overhead_pct\": " << r.verify_overhead_pct
-        << ", \"warm_allocs\": " << r.warm_allocs << ",\n     \"sweep\": [";
-    for (std::size_t s = 0; s < r.sweep.size(); ++s) {
-      const SweepPoint& p = r.sweep[s];
-      out << (s ? ", " : "") << "{\"flip_prob\": " << p.flip_prob
-          << ", \"flips\": " << p.flips
-          << ", \"max_abs_diff\": " << p.max_abs_diff
-          << ", \"rel_err\": " << p.rel_err << "}";
-    }
-    out << "],\n     \"recovery\": {\"flips\": " << r.recovery.flips
-        << ", \"mismatch_nodes\": " << r.recovery.mismatch_nodes
-        << ", \"detected\": " << (r.recovery.detected ? "true" : "false")
-        << ", \"max_abs_diff_corrupt\": " << r.recovery.max_abs_diff_corrupt
-        << ", \"max_abs_diff_after\": " << r.recovery.max_abs_diff_after
-        << "},\n     \"quarantine\": {\"frames_to_quarantine\": "
-        << r.quarantine.frames_to_quarantine
-        << ", \"readmit_frame\": " << r.quarantine.readmit_frame
-        << ", \"readmitted\": " << (r.quarantine.readmitted ? "true" : "false")
-        << ", \"quarantines\": " << r.quarantine.quarantines
-        << ", \"reloads\": " << r.quarantine.reloads
-        << ", \"unhealthy_batches\": " << r.quarantine.unhealthy_batches
-        << "}}" << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  out << "  \"devsim\": {\"device\": \"" << devsim_result.device
-      << "\", \"model\": \"" << devsim_result.model
-      << "\", \"healthy_ms\": " << devsim_result.healthy_ms
-      << ", \"thermal_ms\": " << devsim_result.thermal_ms
-      << ", \"thermal_slowdown\": "
-      << devsim_result.thermal_ms / devsim_result.healthy_ms
-      << ", \"bandwidth_ms\": " << devsim_result.bandwidth_ms
-      << ", \"bandwidth_slowdown\": "
-      << devsim_result.bandwidth_ms / devsim_result.healthy_ms << "}\n}\n";
-  return out.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -391,11 +331,45 @@ int main(int argc, char** argv) {
   const DevsimResult devsim_result = bench_devsim(models::ModelId::kYoloV8n);
   const std::uint64_t lane_corrupted = lane_fault_demo();
 
+  bench::Records records;
   ResultTable table("Fault injection: verify overhead, detection, recovery",
                     {"model", "clean ms", "verify ms", "overhead %",
                      "warm allocs", "flips", "detected", "|diff| after",
                      "quarantine@", "readmit@"});
   for (const ModelFaultResult& r : results) {
+    records.add(r.name, "clean", "ns_frame", r.clean_ns_frame, "ns");
+    records.add(r.name, "verify", "ns_frame", r.verify_ns_frame, "ns");
+    records.add(r.name, "verify", "verify_cadence", verify_cadence, "frames");
+    records.add(r.name, "verify", "verify_overhead_pct", r.verify_overhead_pct,
+                "%");
+    records.add(r.name, "verify", "warm_allocs", r.warm_allocs, "count");
+    for (const SweepPoint& p : r.sweep) {
+      std::ostringstream variant;
+      variant << "flip_prob=" << p.flip_prob;
+      records.add(r.name, variant.str(), "flips", p.flips, "count");
+      records.add(r.name, variant.str(), "max_abs_diff", p.max_abs_diff,
+                  "abs");
+      records.add(r.name, variant.str(), "rel_err", p.rel_err, "ratio");
+    }
+    const RecoveryResult& rec = r.recovery;
+    records.add(r.name, "recovery", "flips", rec.flips, "count");
+    records.add(r.name, "recovery", "mismatch_nodes", rec.mismatch_nodes,
+                "count");
+    records.add(r.name, "recovery", "detected", rec.detected, "bool");
+    records.add(r.name, "recovery", "max_abs_diff_corrupt",
+                rec.max_abs_diff_corrupt, "abs");
+    records.add(r.name, "recovery", "max_abs_diff_after",
+                rec.max_abs_diff_after, "abs");
+    const QuarantineResult& q = r.quarantine;
+    records.add(r.name, "quarantine", "frames_to_quarantine",
+                q.frames_to_quarantine, "frames");
+    records.add(r.name, "quarantine", "readmit_frame", q.readmit_frame,
+                "frames");
+    records.add(r.name, "quarantine", "readmitted", q.readmitted, "bool");
+    records.add(r.name, "quarantine", "quarantines", q.quarantines, "count");
+    records.add(r.name, "quarantine", "reloads", q.reloads, "count");
+    records.add(r.name, "quarantine", "unhealthy_batches",
+                q.unhealthy_batches, "count");
     table.row()
         .cell(r.name)
         .cell(r.clean_ns_frame * 1e-6, 3)
@@ -421,10 +395,20 @@ int main(int argc, char** argv) {
       .cell(devsim_result.bandwidth_ms / devsim_result.healthy_ms, 2);
   bench::emit(cli, {table, degr});
 
-  if (!cli.string("out").empty()) {
-    std::ofstream file(cli.string("out"));
-    file << to_json(results, devsim_result, verify_cadence, lane_corrupted);
-    std::cout << "wrote " << cli.string("out") << '\n';
-  }
+  const std::string devsim_subject =
+      devsim_result.device + "/" + devsim_result.model;
+  records.add(devsim_subject, "healthy", "latency_ms", devsim_result.healthy_ms,
+              "ms");
+  records.add(devsim_subject, "thermal", "latency_ms", devsim_result.thermal_ms,
+              "ms");
+  records.add(devsim_subject, "thermal", "slowdown",
+              devsim_result.thermal_ms / devsim_result.healthy_ms, "x");
+  records.add(devsim_subject, "bandwidth", "latency_ms",
+              devsim_result.bandwidth_ms, "ms");
+  records.add(devsim_subject, "bandwidth", "slowdown",
+              devsim_result.bandwidth_ms / devsim_result.healthy_ms, "x");
+  records.add("stuck-lane", "lane3", "corrupted_elements", lane_corrupted,
+              "count");
+  records.write(cli.string("out"), "fault");
   return 0;
 }

@@ -9,10 +9,10 @@
 // scale, checks the fused engine is numerically equivalent to the
 // baseline (max |diff| <= 1e-5), verifies the warmed fused frame path
 // stays off the allocator, and measures whole-model frame latency for
-// both. Emits BENCH_fusion.json (top-level "bench": "fusion") consumed
-// by scripts/check_bench_regression.py --mode fusion in CI: the gate
-// model (YOLOv8-x, the largest conv-heavy model) must hold the
-// configured frame-speedup floor and a >= 30% peak-arena reduction.
+// both. Writes the BENCH_fusion.json record file (bench "fusion") that
+// scripts/check_bench_regression.py gates in CI: the gate model
+// (YOLOv8-x, the largest conv-heavy model) must hold the gate table's
+// frame-speedup floor and a >= 30% peak-arena reduction.
 // The floor is host-dependent (see EXPERIMENTS.md): on a single
 // AVX2 core the whole model is compute-bound and fusion buys
 // 1.05-1.12x end to end (individual streamed-im2col layers gain
@@ -25,8 +25,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,7 +33,6 @@
 #include "core/rng.hpp"
 #include "models/registry.hpp"
 #include "nn/engine.hpp"
-#include "tensor/simd.hpp"
 
 using namespace ocb;
 
@@ -148,35 +145,6 @@ FusionResult bench_model(models::ModelId id, double input_scale,
   return result;
 }
 
-std::string to_json(const std::vector<FusionResult>& results,
-                    const std::string& gate_model) {
-  std::ostringstream out;
-  out << "{\n  \"bench\": \"fusion\",\n";
-  out << "  \"simd\": \"" << simd::level_name(simd::active()) << "\",\n";
-  out << "  \"alloc_counting\": "
-      << (alloc_counting_active() ? "true" : "false") << ",\n";
-  out << "  \"gate_model\": \"" << gate_model << "\",\n";
-  out << "  \"models\": [\n";
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const FusionResult& r = results[i];
-    out << "    {\"name\": \"" << r.name
-        << "\", \"base_ns_frame\": " << r.base_ns_frame
-        << ", \"fused_ns_frame\": " << r.fused_ns_frame
-        << ", \"speedup\": " << r.speedup()
-        << ", \"fused_nodes\": " << r.fused_nodes
-        << ", \"residual_fused\": " << r.residual_fused
-        << ", \"concat_elided\": " << r.concat_elided
-        << ", \"arena_before_bytes\": " << r.arena_before
-        << ", \"arena_after_bytes\": " << r.arena_after
-        << ", \"arena_reduction\": " << r.arena_reduction()
-        << ", \"warm_allocs\": " << r.warm_allocs
-        << ", \"max_abs_diff\": " << r.max_abs_diff << "}"
-        << (i + 1 < results.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  return out.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -209,15 +177,24 @@ int main(int argc, char** argv) {
   for (models::ModelId id : ids)
     results.push_back(bench_model(id, input_scale, min_seconds));
 
-  // The CI gate pins the largest conv-heavy model.
-  const std::string gate_model =
-      models::model_info(models::ModelId::kYoloV8x).name;
-
   ResultTable table(
       "Whole model: fused engine vs pre-fusion planner engine",
       {"model", "base ms", "fused ms", "speedup", "res", "concat",
        "arena red.", "warm allocs", "max |diff|"});
+  bench::Records records;
   for (const FusionResult& r : results) {
+    records.add(r.name, "base", "ns_frame", r.base_ns_frame, "ns");
+    records.add(r.name, "base", "arena_bytes", r.arena_before, "bytes");
+    records.add(r.name, "fused", "ns_frame", r.fused_ns_frame, "ns");
+    records.add(r.name, "fused", "frame_speedup", r.speedup(), "x");
+    records.add(r.name, "fused", "fused_nodes", r.fused_nodes, "count");
+    records.add(r.name, "fused", "residual_fused", r.residual_fused, "count");
+    records.add(r.name, "fused", "concat_elided", r.concat_elided, "count");
+    records.add(r.name, "fused", "arena_bytes", r.arena_after, "bytes");
+    records.add(r.name, "fused", "arena_reduction", r.arena_reduction(),
+                "ratio");
+    records.add(r.name, "fused", "warm_allocs", r.warm_allocs, "count");
+    records.add(r.name, "fused", "max_abs_diff", r.max_abs_diff, "abs");
     table.row()
         .cell(r.name)
         .cell(r.base_ns_frame * 1e-6, 3)
@@ -230,11 +207,6 @@ int main(int argc, char** argv) {
         .cell(r.max_abs_diff, 7);
   }
   bench::emit(cli, {table});
-
-  if (!cli.string("out").empty()) {
-    std::ofstream file(cli.string("out"));
-    file << to_json(results, gate_model);
-    std::cout << "wrote " << cli.string("out") << '\n';
-  }
+  records.write(cli.string("out"), "fusion");
   return 0;
 }

@@ -15,14 +15,13 @@
 // depth (normal).
 //
 // The modelled timeline replays at `time-scale` real seconds per
-// stream second; all reported numbers are stream-clock ms. Emits
-// BENCH_multi_model.json for scripts/check_bench_regression.py.
+// stream second; all reported numbers are stream-clock ms. Writes the
+// BENCH_multi_model.json record file that
+// scripts/check_bench_regression.py gates.
 #include <chrono>
-#include <fstream>
 #include <future>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -116,33 +115,6 @@ ScenarioResult run_scenario(const devsim::DeviceSpec& device, int frames,
   return result;
 }
 
-std::string to_json(const devsim::DeviceSpec& device, int frames,
-                    const ScenarioResult& unbatched,
-                    const ScenarioResult& batched, double speedup) {
-  std::ostringstream out;
-  out << "{\n  \"bench\": \"multi_model\",\n"
-      << "  \"device\": \"" << device.name << "\",\n"
-      << "  \"frames_per_model\": " << frames << ",\n"
-      << "  \"unbatched\": {\"makespan_ms\": " << unbatched.makespan_ms
-      << ", \"aggregate_fps\": " << unbatched.aggregate_fps << "},\n"
-      << "  \"batched\": {\"makespan_ms\": " << batched.makespan_ms
-      << ", \"aggregate_fps\": " << batched.aggregate_fps << "},\n"
-      << "  \"batched_speedup\": " << speedup << ",\n  \"models\": [\n";
-  for (std::size_t i = 0; i < batched.report.models.size(); ++i) {
-    const ModelServeTelemetry& b = batched.report.models[i];
-    const ModelServeTelemetry& u = unbatched.report.models[i];
-    out << "    {\"model\": \"" << b.name << "\", \"priority\": \""
-        << serve_priority_name(b.priority)
-        << "\", \"mean_batch\": " << b.mean_batch()
-        << ", \"largest_batch\": " << b.largest_batch
-        << ", \"p99_serve_ms_batched\": " << b.serve_ms.p99()
-        << ", \"p99_serve_ms_unbatched\": " << u.serve_ms.p99() << "}"
-        << (i + 1 < batched.report.models.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  return out.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -211,10 +183,28 @@ int main(int argc, char** argv) {
   bench::emit(cli, {summary, per_model});
   std::cout << batched.report.to_text() << '\n';
 
-  if (!cli.string("out").empty()) {
-    std::ofstream file(cli.string("out"));
-    file << to_json(device, frames, unbatched, batched, speedup);
-    std::cout << "wrote " << cli.string("out") << '\n';
+  // The suite's aggregate records carry the device as their subject;
+  // each model's `priority` record is its class rank (0 = critical).
+  bench::Records records;
+  const std::string suite = device.name;
+  records.add(suite, "", "frames_per_model", frames, "frames");
+  for (const auto& [mode, result] :
+       {std::pair{"unbatched", &unbatched}, std::pair{"batched", &batched}}) {
+    records.add(suite, mode, "makespan_ms", result->makespan_ms, "ms");
+    records.add(suite, mode, "aggregate_fps", result->aggregate_fps, "1/s");
   }
+  records.add(suite, "batched", "throughput_speedup", speedup, "x");
+  for (std::size_t i = 0; i < batched.report.models.size(); ++i) {
+    const ModelServeTelemetry& b = batched.report.models[i];
+    records.add(b.name, "", "priority", static_cast<int>(b.priority),
+                "rank");
+    records.add(b.name, "batched", "mean_batch", b.mean_batch(), "frames");
+    records.add(b.name, "batched", "largest_batch", b.largest_batch,
+                "frames");
+    records.add(b.name, "batched", "p99_serve_ms", b.serve_ms.p99(), "ms");
+    records.add(b.name, "unbatched", "p99_serve_ms",
+                unbatched.report.models[i].serve_ms.p99(), "ms");
+  }
+  records.write(cli.string("out"), "multi_model");
   return 0;
 }

@@ -1,27 +1,26 @@
 // Precision-vs-accuracy sweep: the compressed inference paths vs FP32.
 //
-// Four views, mirroring how the paper trades accuracy for latency on
+// Three views, mirroring how the paper trades accuracy for latency on
 // edge GPUs (§4.3's TensorRT builds quantize the same way):
-//   1. Engine::run ns/frame for the Ocularone VIP models in FP32 and
-//      INT8 (post-calibration), measured on this host.
-//   2. Roofline projections of the same models on the paper's Jetson
-//      devices with the per-device INT8 speedup applied to GEMM ops.
-//   3. Trained MiniYolo variants evaluated through the Engine in both
-//      precisions on the diverse test set — precision / recall / F1 /
+//   1. Roofline projections of the Ocularone VIP models on the paper's
+//      Jetson devices with the per-device INT8 speedup applied to GEMM
+//      ops.
+//   2. Trained MiniYolo variants evaluated through the Engine in FP32
+//      and INT8 on the diverse test set — precision / recall / F1 /
 //      accuracy and their INT8 deltas.
-//   4. The accuracy-vs-speed Pareto frontier over the full compression
+//   3. The accuracy-vs-speed Pareto frontier over the full compression
 //      grid (fp16 storage, N:M structured sparsity at 25/50/75%, INT8,
 //      and their combinations): micro-kernel gate points (sparse vs
 //      dense packed GEMM, fp16 vs fp32 GEMV), sparse-vs-masked-dense
 //      numeric equivalence at engine level, and per-model latency (+
-//      trained-detector accuracy) for every PlanRequest variant.
-// Emits BENCH_precision_sweep.json and BENCH_pareto.json for
-// scripts/check_bench_regression.py (the latter via its `pareto` mode).
+//      trained-detector accuracy) for every PlanRequest variant. Its
+//      fp32 and int8 rows are the measured host FP32-vs-INT8 latency.
+// Writes all three into the BENCH_pareto.json record file (bench
+// "pareto") that scripts/check_bench_regression.py gates.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstddef>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -63,49 +62,7 @@ double best_seconds(F&& body, double min_seconds) {
   return best;
 }
 
-// --- 1. measured engine latency ---------------------------------------
-
-struct LatencyResult {
-  std::string name;
-  double fp32_ns_frame = 0.0;
-  double int8_ns_frame = 0.0;
-  double speedup() const noexcept {
-    return int8_ns_frame > 0.0 ? fp32_ns_frame / int8_ns_frame : 0.0;
-  }
-};
-
-LatencyResult bench_engine_precision(models::ModelId id, double input_scale,
-                                     double min_seconds) {
-  const nn::Graph graph = models::build_model(id, input_scale);
-  nn::Engine engine(graph, 1);
-  const nn::FeatShape in = graph.input_shape();
-
-  Rng rng(11);
-  std::vector<Tensor> frames;
-  for (int i = 0; i < 3; ++i) {
-    Tensor t({1, in.c, in.h, in.w});
-    t.init_uniform(rng, 0.0f, 1.0f);
-    frames.push_back(std::move(t));
-  }
-  Tensor input({1, in.c, in.h, in.w});
-  input.init_uniform(rng, 0.0f, 1.0f);
-
-  engine.calibrate(frames);  // also serves as FP32 warm-up
-  engine.prepare({});        // planner-selected fp32 kernels
-
-  LatencyResult result;
-  result.name = models::model_info(id).name;
-  result.fp32_ns_frame =
-      best_seconds([&] { engine.run(input); }, min_seconds) * 1e9;
-
-  engine.prepare({.precision = nn::Precision::kInt8});
-  engine.run(input);  // warm-up: int8 panels + arena plan settled
-  result.int8_ns_frame =
-      best_seconds([&] { engine.run(input); }, min_seconds) * 1e9;
-  return result;
-}
-
-// --- 2. devsim roofline projection ------------------------------------
+// --- 1. devsim roofline projection ------------------------------------
 
 struct ProjectionResult {
   std::string device;
@@ -117,7 +74,7 @@ struct ProjectionResult {
   }
 };
 
-// --- 3. trained-detector accuracy in both precisions ------------------
+// --- 2. trained-detector accuracy in both precisions ------------------
 
 struct AccuracyPair {
   std::string variant;
@@ -145,15 +102,7 @@ eval::Metrics evaluate_engine(const models::MiniYolo& model,
   return report.overall();
 }
 
-std::string json_metrics(const eval::Metrics& m) {
-  std::ostringstream out;
-  out << "{\"precision\": " << m.precision << ", \"recall\": " << m.recall
-      << ", \"f1\": " << m.f1 << ", \"accuracy\": " << m.accuracy
-      << ", \"images\": " << m.images << "}";
-  return out.str();
-}
-
-// --- 4. Pareto frontier: kernel gates, equivalence, variant sweep -----
+// --- 3. Pareto frontier: kernel gates, equivalence, variant sweep -----
 
 /// One sparse-vs-dense packed-GEMM measurement on a conv-heavy shape.
 /// `dense_ns` times gemm_packed over the *masked* weights, so both
@@ -191,8 +140,7 @@ struct EquivalenceResult {
 };
 
 /// One (model, PlanRequest variant) point on the frontier. Accuracy is
-/// attached only for the trained-detector rows; `gated` marks the
-/// variants the regression checker holds to the accuracy budget.
+/// attached only for the trained-detector rows.
 struct FrontierPoint {
   std::string model;
   std::string variant;
@@ -201,7 +149,6 @@ struct FrontierPoint {
   int sparse_nodes = 0;
   int fp16_nodes = 0;
   int quant_nodes = 0;
-  bool gated = false;
   bool has_accuracy = false;
   double accuracy = 0.0;
   double delta_accuracy_pt = 0.0;
@@ -219,46 +166,46 @@ nn::SparsityConfig nm_config(int keep, int of) {
 struct Variant {
   const char* name;
   nn::PlanRequest request;
-  bool gated;  ///< accuracy-budget-gated by check_bench_regression.py
 };
 
 /// The compression grid every frontier model runs: plain precisions,
 /// the three N:M sparsity levels, and the combined storage formats.
-/// fp16 and nm50 are the "shippable" points the accuracy gate holds to
-/// ±1.5 pt; nm25/nm75 chart the rest of the frontier.
+/// fp16, nm25, nm50 and nm50-fp16 are the "shippable" points the
+/// accuracy gate (scripts/check_bench_regression.py) holds to ±1.5 pt;
+/// nm75 and the int8 rows chart the rest of the frontier.
 std::vector<Variant> pareto_variants() {
   std::vector<Variant> variants;
-  variants.push_back({"fp32", nn::PlanRequest{}, false});
+  variants.push_back({"fp32", nn::PlanRequest{}});
 
   nn::PlanRequest fp16;
   fp16.precision = nn::Precision::kFp16;
-  variants.push_back({"fp16", fp16, true});
+  variants.push_back({"fp16", fp16});
 
   nn::PlanRequest nm25;
   nm25.sparsity = nm_config(3, 4);
-  variants.push_back({"nm25", nm25, true});
+  variants.push_back({"nm25", nm25});
 
   nn::PlanRequest nm50;
   nm50.sparsity = nm_config(2, 4);
-  variants.push_back({"nm50", nm50, true});
+  variants.push_back({"nm50", nm50});
 
   nn::PlanRequest nm75;
   nm75.sparsity = nm_config(1, 4);
-  variants.push_back({"nm75", nm75, false});
+  variants.push_back({"nm75", nm75});
 
   nn::PlanRequest nm50_fp16;
   nm50_fp16.precision = nn::Precision::kFp16;
   nm50_fp16.sparsity = nm_config(2, 4);
-  variants.push_back({"nm50-fp16", nm50_fp16, true});
+  variants.push_back({"nm50-fp16", nm50_fp16});
 
   nn::PlanRequest int8;
   int8.precision = nn::Precision::kInt8;
-  variants.push_back({"int8", int8, false});
+  variants.push_back({"int8", int8});
 
   nn::PlanRequest nm50_int8;
   nm50_int8.precision = nn::Precision::kInt8;
   nm50_int8.sparsity = nm_config(2, 4);
-  variants.push_back({"nm50-int8", nm50_int8, false});
+  variants.push_back({"nm50-int8", nm50_int8});
   return variants;
 }
 
@@ -414,7 +361,6 @@ void bench_frontier_latency(const std::string& name, const nn::Graph& graph,
     FrontierPoint point;
     point.model = name;
     point.variant = variant.name;
-    point.gated = variant.gated;
     point.sparse_nodes = plan.sparse_nodes;
     point.fp16_nodes = plan.fp16_nodes;
     point.quant_nodes = plan.quant_nodes;
@@ -439,98 +385,12 @@ void bench_frontier_latency(const std::string& name, const nn::Graph& graph,
   }
 }
 
-std::string to_pareto_json(const std::vector<SparseGatePoint>& sparse_gates,
-                           const std::vector<HalfGatePoint>& half_gates,
-                           const EquivalenceResult& equivalence,
-                           const std::vector<FrontierPoint>& frontier) {
-  std::ostringstream out;
-  out << "{\n  \"bench\": \"pareto\",\n  \"simd\": \""
-      << simd::level_name(simd::active()) << "\",\n";
-  out << "  \"kernel_gates\": {\n    \"sparse\": [\n";
-  for (std::size_t i = 0; i < sparse_gates.size(); ++i) {
-    const SparseGatePoint& p = sparse_gates[i];
-    out << "      {\"label\": \"" << p.label
-        << "\", \"sparsity_pct\": " << p.sparsity_pct
-        << ", \"mask_density\": " << p.mask_density
-        << ", \"dense_ns\": " << p.dense_ns
-        << ", \"sparse_ns\": " << p.sparse_ns
-        << ", \"speedup\": " << p.speedup() << "}"
-        << (i + 1 < sparse_gates.size() ? "," : "") << "\n";
-  }
-  out << "    ],\n    \"fp16\": [\n";
-  for (std::size_t i = 0; i < half_gates.size(); ++i) {
-    const HalfGatePoint& p = half_gates[i];
-    out << "      {\"label\": \"" << p.label
-        << "\", \"dense_ns\": " << p.dense_ns
-        << ", \"half_ns\": " << p.half_ns
-        << ", \"speedup\": " << p.speedup() << "}"
-        << (i + 1 < half_gates.size() ? "," : "") << "\n";
-  }
-  out << "    ]\n  },\n";
-  out << "  \"equivalence\": {\"model\": \"" << equivalence.model
-      << "\", \"max_abs_diff\": " << equivalence.max_abs_diff
-      << ", \"sparse_nodes\": " << equivalence.sparse_nodes << "},\n";
-  out << "  \"frontier\": [\n";
-  for (std::size_t i = 0; i < frontier.size(); ++i) {
-    const FrontierPoint& p = frontier[i];
-    out << "    {\"model\": \"" << p.model << "\", \"variant\": \""
-        << p.variant << "\", \"ns_frame\": " << p.ns_frame
-        << ", \"speedup_vs_fp32\": " << p.speedup_vs_fp32
-        << ", \"sparse_nodes\": " << p.sparse_nodes
-        << ", \"fp16_nodes\": " << p.fp16_nodes
-        << ", \"quant_nodes\": " << p.quant_nodes
-        << ", \"gated\": " << (p.gated ? "true" : "false");
-    if (p.has_accuracy)
-      out << ", \"accuracy\": " << p.accuracy
-          << ", \"delta_accuracy_pt\": " << p.delta_accuracy_pt;
-    out << "}" << (i + 1 < frontier.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  return out.str();
-}
-
-std::string to_json(const std::vector<LatencyResult>& latency,
-                    const std::vector<ProjectionResult>& projections,
-                    const std::vector<AccuracyPair>& accuracy) {
-  std::ostringstream out;
-  out << "{\n  \"latency\": [\n";
-  for (std::size_t i = 0; i < latency.size(); ++i) {
-    const LatencyResult& r = latency[i];
-    out << "    {\"model\": \"" << r.name
-        << "\", \"fp32_ns_frame\": " << r.fp32_ns_frame
-        << ", \"int8_ns_frame\": " << r.int8_ns_frame
-        << ", \"int8_speedup\": " << r.speedup() << "}"
-        << (i + 1 < latency.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"devsim\": [\n";
-  for (std::size_t i = 0; i < projections.size(); ++i) {
-    const ProjectionResult& p = projections[i];
-    out << "    {\"device\": \"" << p.device << "\", \"model\": \""
-        << p.model << "\", \"fp32_ms\": " << p.fp32_ms
-        << ", \"int8_ms\": " << p.int8_ms
-        << ", \"int8_speedup\": " << p.speedup() << "}"
-        << (i + 1 < projections.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"accuracy\": [\n";
-  for (std::size_t i = 0; i < accuracy.size(); ++i) {
-    const AccuracyPair& a = accuracy[i];
-    out << "    {\"variant\": \"" << a.variant
-        << "\", \"fp32\": " << json_metrics(a.fp32)
-        << ", \"int8\": " << json_metrics(a.int8)
-        << ", \"delta_accuracy\": " << a.int8.accuracy - a.fp32.accuracy
-        << ", \"delta_f1\": " << a.int8.f1 - a.fp32.f1 << "}"
-        << (i + 1 < accuracy.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-  return out.str();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Cli cli("bench_precision_sweep",
-          "INT8 vs FP32: engine latency, device projections, and trained "
-          "detector accuracy");
+          "compressed inference vs FP32: device projections, trained "
+          "detector accuracy and the accuracy-vs-speed Pareto frontier");
   bench::add_accuracy_flags(cli);
   cli.add_double("min-seconds", 0.2,
                  "minimum sampling time per measurement point");
@@ -538,36 +398,18 @@ int main(int argc, char** argv) {
                  "model input scale for the ns/frame measurements");
   cli.add_flag("skip-training",
                "skip the trained-detector accuracy sweep (latency only)");
-  cli.add_string("out", "BENCH_precision_sweep.json",
+  cli.add_string("out", "BENCH_pareto.json",
                  "machine-readable output path (empty disables)");
-  cli.add_string("pareto-out", "BENCH_pareto.json",
-                 "Pareto-frontier output path (empty disables)");
   if (!cli.parse(argc, argv)) return 0;
   bench::apply_common_flags(cli);
   const double min_seconds = cli.real("min-seconds");
 
-  // 1. Measured FP32 vs INT8 Engine::run on the VIP models.
   const std::vector<models::ModelId> model_ids = {
       models::ModelId::kYoloV8n, models::ModelId::kYoloV11n,
       models::ModelId::kTrtPose, models::ModelId::kMonodepth2};
-  std::vector<LatencyResult> latency;
-  ResultTable latency_table(
-      "Engine::run FP32 vs INT8 (input scale " +
-          format_fixed(cli.real("input-scale"), 2) + ")",
-      {"model", "fp32 ms", "int8 ms", "speedup"});
-  for (models::ModelId id : model_ids) {
-    latency.push_back(
-        bench_engine_precision(id, cli.real("input-scale"), min_seconds));
-    const LatencyResult& r = latency.back();
-    latency_table.row()
-        .cell(r.name)
-        .cell(r.fp32_ns_frame * 1e-6, 2)
-        .cell(r.int8_ns_frame * 1e-6, 2)
-        .cell(r.speedup(), 2);
-  }
+  bench::Records records;
 
-  // 2. Roofline projection on the paper's devices.
-  std::vector<ProjectionResult> projections;
+  // 1. Roofline projection on the paper's devices.
   ResultTable devsim_table("Roofline projection FP32 vs INT8 (full-scale "
                            "inputs, batch 1)",
                            {"device", "model", "fp32 ms", "int8 ms",
@@ -584,7 +426,10 @@ int main(int argc, char** argv) {
       p.model = models::model_info(id).name;
       p.fp32_ms = devsim::model_latency_ms(profile, spec, fp32_opts);
       p.int8_ms = devsim::model_latency_ms(profile, spec, int8_opts);
-      projections.push_back(p);
+      const std::string subject = p.device + "/" + p.model;
+      records.add(subject, "fp32", "latency_ms", p.fp32_ms, "ms");
+      records.add(subject, "int8", "latency_ms", p.int8_ms, "ms");
+      records.add(subject, "int8", "speedup_vs_fp32", p.speedup(), "x");
       devsim_table.row()
           .cell(p.device)
           .cell(p.model)
@@ -594,10 +439,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 4a. Pareto kernel gates: the micro-kernel speedups the compressed
+  // 3a. Pareto kernel gates: the micro-kernel speedups the compressed
   // formats must sustain (machine-relative, gated when SIMD is active).
   const std::vector<Variant> variants = pareto_variants();
-  std::vector<SparseGatePoint> sparse_gates;
   ResultTable sparse_gate_table(
       std::string("Pareto gate: sparse vs masked-dense packed GEMM "
                   "(simd: ") +
@@ -605,9 +449,14 @@ int main(int argc, char** argv) {
       {"shape", "density", "dense ms", "sparse ms", "speedup"});
   for (const auto [keep, of] :
        {std::pair{3, 4}, std::pair{2, 4}, std::pair{1, 4}}) {
-    sparse_gates.push_back(
-        bench_sparse_gate(128, 1152, 196, keep, of, min_seconds));
-    const SparseGatePoint& p = sparse_gates.back();
+    const SparseGatePoint p =
+        bench_sparse_gate(128, 1152, 196, keep, of, min_seconds);
+    const std::string nm = "nm" + std::to_string(p.sparsity_pct);
+    records.add(p.label, nm, "sparsity_pct", p.sparsity_pct, "%");
+    records.add(p.label, nm, "mask_density", p.mask_density, "ratio");
+    records.add(p.label, nm, "dense_ns", p.dense_ns, "ns");
+    records.add(p.label, nm, "sparse_ns", p.sparse_ns, "ns");
+    records.add(p.label, nm, "kernel_speedup", p.speedup(), "x");
     sparse_gate_table.row()
         .cell(p.label)
         .cell(p.mask_density, 2)
@@ -615,32 +464,38 @@ int main(int argc, char** argv) {
         .cell(p.sparse_ns * 1e-6, 3)
         .cell(p.speedup(), 2);
   }
-  std::vector<HalfGatePoint> half_gates;
   ResultTable half_gate_table(
       "Pareto gate: fp16-storage vs fp32 packed GEMM (bandwidth-bound "
       "shapes)",
       {"shape", "fp32 ms", "fp16 ms", "speedup"});
-  half_gates.push_back(bench_half_gate(512, 4096, 1, min_seconds));
-  half_gates.push_back(bench_half_gate(256, 2304, 8, min_seconds));
-  for (const HalfGatePoint& p : half_gates)
+  for (const HalfGatePoint& p : {bench_half_gate(512, 4096, 1, min_seconds),
+                                 bench_half_gate(256, 2304, 8, min_seconds)}) {
+    records.add(p.label, "fp16", "dense_ns", p.dense_ns, "ns");
+    records.add(p.label, "fp16", "half_ns", p.half_ns, "ns");
+    records.add(p.label, "fp16", "kernel_speedup", p.speedup(), "x");
     half_gate_table.row()
         .cell(p.label)
         .cell(p.dense_ns * 1e-6, 3)
         .cell(p.half_ns * 1e-6, 3)
         .cell(p.speedup(), 2);
+  }
 
-  // 4b. Sparse engine vs hand-masked dense twin.
+  // 3b. Sparse engine vs hand-masked dense twin.
   const EquivalenceResult equivalence =
       measure_equivalence(models::ModelId::kYoloV8n, cli.real("input-scale"));
   ResultTable equivalence_table(
       "Pareto: sparse engine vs masked-dense twin (nm50)",
       {"model", "sparse nodes", "max |diff|"});
+  records.add(equivalence.model, "masked-twin", "max_abs_diff",
+              equivalence.max_abs_diff, "abs");
+  records.add(equivalence.model, "masked-twin", "sparse_nodes",
+              equivalence.sparse_nodes, "count");
   equivalence_table.row()
       .cell(equivalence.model)
       .cell(static_cast<std::int64_t>(equivalence.sparse_nodes))
       .cell(equivalence.max_abs_diff, 8);
 
-  // 4c. Latency frontier: every variant on the VIP models plus the
+  // 3c. Latency frontier: every variant on the VIP models plus the
   // GEMV-headed synthetic (the guaranteed-observable sparse/fp16 rows).
   std::vector<FrontierPoint> frontier;
   ResultTable frontier_table(
@@ -654,8 +509,7 @@ int main(int argc, char** argv) {
   bench_frontier_latency("mlp-head", mlp_head_graph(), variants,
                          min_seconds, frontier, frontier_table);
 
-  // 3. Trained detectors through the engine in both precisions.
-  std::vector<AccuracyPair> accuracy;
+  // 2. Trained detectors through the engine in both precisions.
   ResultTable accuracy_table(
       "Trained MiniYolo via Engine: FP32 vs INT8 (diverse test set)",
       {"variant", "prec fp32", "prec int8", "rec fp32", "rec int8",
@@ -706,7 +560,20 @@ int main(int argc, char** argv) {
         engine.prepare({.precision = nn::Precision::kInt8});
         pair.int8 =
             evaluate_engine(model, engine, generator, test, "int8");
-        accuracy.push_back(pair);
+        for (const auto& [precision, m] :
+             {std::pair{"fp32", &pair.fp32}, std::pair{"int8", &pair.int8}}) {
+          records.add(pair.variant, precision, "precision", m->precision,
+                      "ratio");
+          records.add(pair.variant, precision, "recall", m->recall, "ratio");
+          records.add(pair.variant, precision, "f1", m->f1, "ratio");
+          records.add(pair.variant, precision, "accuracy", m->accuracy,
+                      "ratio");
+          records.add(pair.variant, precision, "images", m->images, "count");
+        }
+        records.add(pair.variant, "int8", "delta_accuracy",
+                    pair.int8.accuracy - pair.fp32.accuracy, "ratio");
+        records.add(pair.variant, "int8", "delta_f1",
+                    pair.int8.f1 - pair.fp32.f1, "ratio");
         accuracy_table.row()
             .cell(pair.variant)
             .cell(pair.fp32.precision, 3)
@@ -719,7 +586,7 @@ int main(int argc, char** argv) {
             .cell(pair.int8.accuracy, 3)
             .cell(pair.int8.accuracy - pair.fp32.accuracy, 3);
 
-        // 4d. Trained-detector Pareto rows: the same detector swept
+        // 3d. Trained-detector Pareto rows: the same detector swept
         // through the full compression grid, so every frontier variant
         // carries a measured accuracy next to its measured latency.
         // The medium variant is the one whose conv stages clear the
@@ -778,7 +645,6 @@ int main(int argc, char** argv) {
             FrontierPoint point;
             point.model = row_name;
             point.variant = variant.name;
-            point.gated = variant.gated;
             point.sparse_nodes = vplan.sparse_nodes;
             point.fp16_nodes = vplan.fp16_nodes;
             point.quant_nodes = vplan.quant_nodes;
@@ -815,19 +681,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  bench::emit(cli, {latency_table, devsim_table, sparse_gate_table,
-                    half_gate_table, equivalence_table, frontier_table,
-                    accuracy_table});
+  bench::emit(cli, {devsim_table, sparse_gate_table, half_gate_table,
+                    equivalence_table, frontier_table, accuracy_table});
 
-  if (!cli.string("out").empty()) {
-    std::ofstream file(cli.string("out"));
-    file << to_json(latency, projections, accuracy);
-    std::cout << "wrote " << cli.string("out") << '\n';
+  for (const FrontierPoint& p : frontier) {
+    records.add(p.model, p.variant, "ns_frame", p.ns_frame, "ns");
+    records.add(p.model, p.variant, "speedup_vs_fp32", p.speedup_vs_fp32,
+                "x");
+    records.add(p.model, p.variant, "sparse_nodes", p.sparse_nodes, "count");
+    records.add(p.model, p.variant, "fp16_nodes", p.fp16_nodes, "count");
+    records.add(p.model, p.variant, "quant_nodes", p.quant_nodes, "count");
+    if (p.has_accuracy) {
+      records.add(p.model, p.variant, "accuracy", p.accuracy, "ratio");
+      records.add(p.model, p.variant, "delta_accuracy_pt",
+                  p.delta_accuracy_pt, "pt");
+    }
   }
-  if (!cli.string("pareto-out").empty()) {
-    std::ofstream file(cli.string("pareto-out"));
-    file << to_pareto_json(sparse_gates, half_gates, equivalence, frontier);
-    std::cout << "wrote " << cli.string("pareto-out") << '\n';
-  }
+  records.write(cli.string("out"), "pareto");
   return 0;
 }

@@ -1,772 +1,402 @@
 #!/usr/bin/env python3
-"""Compare a fresh BENCH_kernels.json against the committed baseline.
+"""Gate a bench result file against the one gate table.
 
-Fails (exit 1) when any model's SIMD ns/frame regresses more than
---tolerance (default 15%) over the baseline, when the GEMM
-SIMD-vs-scalar speedup drops below --min-gemm-speedup on a machine
-whose dispatcher reports a SIMD level, when the INT8 GEMM fails to
-reach --min-int8-speedup over the FP32 SIMD kernel on the best shape,
-or when a kernel dispatched to a different path than the active SIMD
-level promises (a silent scalar fallback).
+Every gated bench (bench_engine_kernels, bench_multi_model,
+bench_conv_planner, bench_precision_sweep, bench_fusion, bench_fault)
+writes the same file shape, BENCH_<bench>.json:
+
+  {"bench": ..., "provenance": {simd, hardware_threads, cpu, compiler,
+   build, alloc_counting}, "records": [{subject, variant, metric,
+   value, unit}]}
+
+GATES below holds every gate. A row names its bench and selects
+records by subject, variant and metric (regular expressions, matched
+whole). It then aggregates them (each, max or min) and compares the
+result with a threshold. A row may apply only when SIMD is active,
+only when the build counts heap allocations, or only when the run
+trained detectors. A baseline row compares each record with the
+baseline record of the same subject, variant and metric: it fails
+above the baseline value plus the row's fractional tolerance. A row
+that selects no record fails, so a bench that stops measuring a gated
+quantity cannot pass. Every failure names its row. To move a
+threshold, for example the fusion floor to 1.25 on a bandwidth-bound
+Jetson-class host (EXPERIMENTS.md), edit the row.
 
 Absolute ns/frame is only comparable on the machine that produced the
-baseline; on shared CI runners pass --ratio-only, which checks the
-machine-relative quantities (per-model scalar/SIMD speedup and GEMM
-GFLOP/s ratios) instead of wall-clock numbers.
-
-Also understands BENCH_multi_model.json (top-level "bench":
-"multi_model"): fails when the micro-batched aggregate throughput
-speedup drops below --min-batch-speedup (default 1.5), when the
-scheduler stopped forming batches (mean batch size 1), or when the
-per-model p99 serve latencies violate the priority ordering
-critical < high < normal. All multi-model quantities are
-machine-relative (modelled stream clock), so they hold on any runner.
-
-Also understands BENCH_planner.json (top-level "bench": "planner"):
-with SIMD active, fails when the kernel planner stopped picking
-Winograd on any 3x3 stage, when the best Winograd layer's measured
-speedup over always-im2col drops below --min-winograd-speedup
-(default 1.5), when any planner choice is measurably SLOWER than
-im2col (a cost-model mischoice), or when the planned engine's output
-diverges from the legacy im2col engine. Layer/model speedups are
-machine-relative; planned ns/frame is additionally compared against
-the baseline unless --ratio-only.
-
-Also understands BENCH_pareto.json (top-level "bench": "pareto"), the
-accuracy-vs-speed frontier over the compressed execution formats. With
-SIMD active, fails when the sparse packed GEMM stops clearing
---min-sparse-speedup (default 1.3) over the masked-dense kernel at
-50% N:M on the conv-heavy gate shape, when the fp16-storage kernel's
-best bandwidth-bound point drops below --min-fp16-speedup (default
-1.2), when an nm50-planned engine measures slower than its fp32
-baseline beyond the tolerance, or when the planner stopped selecting
-any sparse/fp16 kernels at all (the observability counters). At any
-SIMD level, fails when the sparse engine diverges from its
-hand-masked dense twin beyond 1e-4 or when a gated frontier variant's
-trained-detector accuracy moved more than --max-accuracy-delta-pt
-(default 1.5 percentage points) from fp32. Kernel/engine speedups are
-machine-relative; frontier ns/frame is additionally compared against
-the baseline unless --ratio-only.
-
-Also understands BENCH_fusion.json (top-level "bench": "fusion"), the
-fused execution stack (im2col-free conv packing + residual/concat
-fusion + liveness arena) against the pre-fusion planner path. Fails
-when any model's fused engine diverges from the unfused baseline
-beyond 1e-5, when a warmed fused frame performed heap allocations
-(only enforced when the build counts them), when any model's fused
-engine is slower than its baseline beyond the tolerance, or when the
-gate model (the largest conv-heavy graph) drops below
---min-fusion-speedup, below --min-arena-reduction (default 0.30)
-peak-activation-arena shrink, or stops fusing anything at all. The
-speedup floor defaults to 0.95: a compute-bound single-core x86
-runner measures a 1.05-1.12x fused mean but draws +/-8% run-to-run
-noise under host contention, so the default floor is a
-mispick-regression catcher (the planner-bug class measures <=0.90),
-not a certification of the mean — the per-layer fused-packing win is
-gated robustly by the planner bench, and bandwidth-bound Jetson-class
-hosts should raise the floor to 1.25 (see EXPERIMENTS.md). Speedups and arena ratios are machine-relative; fused
-ns/frame is additionally compared against the baseline file unless
---ratio-only.
-
-Also understands BENCH_fault.json (top-level "bench": "fault"), the
-fault-injection resilience bench (DESIGN.md §14). Fails when the
-checksum layer's verify-cadence overhead exceeds
---max-verify-overhead-pct (default 2.0) of the median clean frame,
-when a warmed verify-enabled frame performed heap allocations (only
-enforced when the build counts them), when any model's injected
-corruption went undetected (recovery.detected false or zero flips
-landed), when recovery failed to restore bit-exact clean outputs
-(max_abs_diff_after != 0), when the serving quarantine took more than
---max-quarantine-frames (default 4) to bench a corrupted model or
-never re-admitted it after reload, or when a devsim degradation mode
-failed to slow the modelled device. All fault quantities are
-machine-relative, so they hold on any runner.
+baseline. On shared CI runners pass --ratio-only, which skips the
+baseline rows and keeps the machine-relative ones. The baseline
+defaults to the committed bench/baselines/BENCH_<bench>.json.
 
 Usage:
-  scripts/check_bench_regression.py BENCH_kernels.json \
-      --baseline bench/baselines/BENCH_kernels.json [--tolerance 0.15]
-  scripts/check_bench_regression.py BENCH_multi_model.json \
-      --baseline bench/baselines/BENCH_multi_model.json
-  scripts/check_bench_regression.py BENCH_planner.json \
-      --baseline bench/baselines/BENCH_planner.json
-  scripts/check_bench_regression.py BENCH_pareto.json \
-      --baseline bench/baselines/BENCH_pareto.json
-  scripts/check_bench_regression.py BENCH_fusion.json \
-      --baseline bench/baselines/BENCH_fusion.json
-  scripts/check_bench_regression.py BENCH_fault.json \
-      --baseline bench/baselines/BENCH_fault.json
+  scripts/check_bench_regression.py BENCH_kernels.json [--ratio-only]
+  scripts/check_bench_regression.py BENCH_kernels.json --ratio-only \\
+      --min-gemm-speedup 1.5 --min-int8-speedup 1.5
+  scripts/check_bench_regression.py BENCH_fusion.json \\
+      --baseline path/to/BENCH_fusion.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
+import re
 import sys
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Callable
+
+REPO = Path(__file__).resolve().parent.parent
+
+# Allowed fractional slowdown: over the baseline for ns/frame rows, and
+# below 1.0 for the speedups that must not turn into slowdowns.
+TOLERANCE = 0.15
+NOT_SLOWER = 1.0 - TOLERANCE
+# Gated variants of the compression frontier (bench_precision_sweep's
+# pareto_variants): the "shippable" points held to the accuracy budget.
+ACCURACY_GATED = "fp16|nm25|nm50|nm50-fp16"
+
+COMPARATORS: dict[str, Callable[[float, float], bool]] = {
+    ">=": operator.ge,
+    ">": operator.gt,
+    "<=": operator.le,
+    "==": operator.eq,
+    "|x|<=": lambda v, t: abs(v) <= t,
+}
+
+CONDITIONS: dict[str, Callable[["Run"], bool]] = {
+    "simd": lambda run: run.provenance.get("simd", "scalar") != "scalar",
+    "alloc_counting": lambda run: bool(
+        run.provenance.get("alloc_counting", False)),
+    # bench_precision_sweep without --skip-training: its trained
+    # detectors leave per-precision `accuracy` records.
+    "trained": lambda run: any(r["metric"] == "accuracy"
+                               for r in run.records),
+}
 
 
-def load(path: str) -> dict:
+@dataclass
+class Run:
+    bench: str
+    provenance: dict
+    records: list[dict]
+
+
+def load(path: str | Path) -> Run:
     with open(path) as f:
-        return json.load(f)
+        data = json.load(f)
+    return Run(data.get("bench", ""), data.get("provenance", {}),
+               data.get("records", []))
 
 
-def index_by(items: list[dict], key: str) -> dict[str, dict]:
-    return {item[key]: item for item in items}
+def key(record: dict) -> tuple[str, str, str]:
+    return record["subject"], record["variant"], record["metric"]
 
 
-PRIORITY_ORDER = {"critical": 0, "high": 1, "normal": 2}
+def describe(record: dict) -> str:
+    where = " ".join(p for p in (record["subject"], record["variant"]) if p)
+    value = record["value"]
+    shown = f"{value:.4g}" if isinstance(value, (int, float)) else repr(value)
+    return f"{where}: {record['metric']} {shown} {record['unit']}"
 
 
-def check_multi_model(current: dict, min_speedup: float) -> list[str]:
-    """Gate the serving-scheduler bench: batching must pay off and the
-    priority classes must actually shape the latency distribution."""
-    failures: list[str] = []
-    speedup = current.get("batched_speedup", 0.0)
-    if speedup < min_speedup:
-        failures.append(
-            f"micro-batching speedup {speedup:.2f} below required "
-            f"{min_speedup:.2f}"
-        )
-    models = current.get("models", [])
-    for model in models:
-        if model.get("mean_batch", 0.0) <= 1.0:
-            failures.append(
-                f"{model['model']}: scheduler formed no batches "
-                f"(mean batch {model.get('mean_batch', 0.0):.2f})"
-            )
-    ranked = sorted(
-        models, key=lambda m: PRIORITY_ORDER.get(m.get("priority"), 99)
-    )
-    for higher, lower in zip(ranked, ranked[1:]):
-        if (
-            higher["p99_serve_ms_batched"]
-            >= lower["p99_serve_ms_batched"]
-        ):
-            failures.append(
-                f"p99 ordering violated: {higher['model']} "
-                f"({higher['priority']}, "
-                f"{higher['p99_serve_ms_batched']:.1f} ms) not faster "
-                f"than {lower['model']} ({lower['priority']}, "
-                f"{lower['p99_serve_ms_batched']:.1f} ms)"
-            )
-    return failures
-
-
-MAX_PLANNED_ABS_DIFF = 1e-4
-
-
-def check_planner(
-    current: dict,
-    baseline: dict | None,
-    tolerance: float,
-    min_winograd_speedup: float,
-    ratio_only: bool,
-) -> list[str]:
-    """Gate the conv-planner bench: the cost model must keep choosing
-    kernels that are actually faster, and the planned engine must stay
-    numerically equivalent to the legacy im2col engine."""
-    failures: list[str] = []
-    simd_active = current.get("simd", "scalar") != "scalar"
-    layers = current.get("layers", [])
-
-    winograd_speedups = [
-        layer["speedup"] for layer in layers if layer["chosen"] == "winograd"
+def p99_priority_order(records: list[dict], run: Run) -> list[str]:
+    """Batched p99 serve latency must rise strictly with priority rank
+    (critical < high < normal)."""
+    rank = {r["subject"]: r["value"] for r in run.records
+            if r["metric"] == "priority"}
+    ranked = sorted(records, key=lambda r: rank.get(r["subject"], 99))
+    return [
+        f"{hi['subject']} (rank {rank.get(hi['subject'])}, "
+        f"{hi['value']:.1f} ms) not faster than {lo['subject']} "
+        f"(rank {rank.get(lo['subject'])}, {lo['value']:.1f} ms)"
+        for hi, lo in zip(ranked, ranked[1:])
+        if hi["value"] >= lo["value"]
     ]
-    if simd_active:
-        if not winograd_speedups:
-            failures.append(
-                "planner chose winograd on no 3x3 stage (SIMD active)"
-            )
-        elif max(winograd_speedups) < min_winograd_speedup:
-            failures.append(
-                f"best winograd layer speedup {max(winograd_speedups):.2f} "
-                f"below required {min_winograd_speedup:.2f}"
-            )
-    for layer in layers:
-        if layer["chosen"] != "im2col" and layer["speedup"] < 1.0 - tolerance:
-            failures.append(
-                f"{layer['label']}: planner chose {layer['chosen']} but it "
-                f"measured {layer['speedup']:.2f}x vs im2col (mischoice)"
-            )
 
-    base_models = (
-        index_by(baseline.get("models", []), "name") if baseline else {}
-    )
-    for model in current.get("models", []):
-        name = model["name"]
-        if model["max_abs_diff"] > MAX_PLANNED_ABS_DIFF:
-            failures.append(
-                f"{name}: planned engine diverges from legacy im2col engine "
-                f"(max |diff| {model['max_abs_diff']:.2e})"
-            )
-        if model["speedup"] < 1.0 - tolerance:
-            failures.append(
-                f"{name}: planned engine slower than legacy im2col engine "
-                f"(speedup {model['speedup']:.2f})"
-            )
-        if not ratio_only:
-            base = base_models.get(name)
-            if base is None:
-                continue
-            limit = base["planned_ns_frame"] * (1.0 + tolerance)
-            if model["planned_ns_frame"] > limit:
-                failures.append(
-                    f"{name}: planned ns/frame "
-                    f"{model['planned_ns_frame']:.0f} exceeds baseline "
-                    f"{base['planned_ns_frame']:.0f} +{tolerance:.0%}"
-                )
+
+def dispatch_path(records: list[dict], run: Run) -> list[str]:
+    """With SIMD active every shape must take the advertised path, and
+    the forced-scalar measurement the scalar one: a SIMD number from
+    the scalar kernel means the dispatcher silently fell back."""
+    level = run.provenance.get("simd", "scalar")
+    failures = []
+    for r in records:
+        expected = "scalar" if r["variant"] == "scalar" else level
+        if r["value"] != expected:
+            failures.append(f"{describe(r)}, expected {expected!r}")
     return failures
 
 
-def check_pareto(
-    current: dict,
-    baseline: dict | None,
-    tolerance: float,
-    min_sparse_speedup: float,
-    min_fp16_speedup: float,
-    max_accuracy_delta_pt: float,
-    ratio_only: bool,
-) -> list[str]:
-    """Gate the compression Pareto bench: the sparse/fp16 kernels must
-    keep their structural speedups, the sparse engine must stay
-    numerically equivalent to masked-dense, and the gated variants must
-    hold the trained-detector accuracy budget."""
-    failures: list[str] = []
-    simd_active = current.get("simd", "scalar") != "scalar"
-    gates = current.get("kernel_gates", {})
-    frontier = current.get("frontier", [])
+@dataclass(frozen=True, kw_only=True)
+class Gate:
+    name: str
+    bench: str
+    what: str
+    metric: str
+    subject: str = ".*"
+    variant: str = ".*"
+    agg: str = "each"
+    cmp: str = ">="
+    # A number, or the name of the command-line option holding it.
+    threshold: float | str = 0.0
+    when: str | None = None
+    baseline: bool = False
+    check: Callable[[list[dict], Run], list[str]] | None = None
 
-    if simd_active:
-        nm50 = [
-            g["speedup"]
-            for g in gates.get("sparse", [])
-            if g.get("sparsity_pct") == 50
-        ]
-        if not nm50:
-            failures.append("no 50% N:M sparse kernel gate point")
-        elif max(nm50) < min_sparse_speedup:
-            failures.append(
-                f"sparse GEMM speedup at 50% N:M {max(nm50):.2f} below "
-                f"required {min_sparse_speedup:.2f}"
-            )
-        fp16 = [g["speedup"] for g in gates.get("fp16", [])]
-        if not fp16:
-            failures.append("no fp16-storage kernel gate point")
-        elif max(fp16) < min_fp16_speedup:
-            failures.append(
-                f"best fp16-storage GEMM speedup {max(fp16):.2f} below "
-                f"required {min_fp16_speedup:.2f}"
-            )
-        # Observability: pruning/fp16 requests must actually reach the
-        # kernels — a frontier where the planner never picks a
-        # compressed format is all control flow and no effect.
-        nm_rows = [p for p in frontier if p["variant"].startswith("nm")]
-        fp16_rows = [p for p in frontier if "fp16" in p["variant"]]
-        if nm_rows and max(p["sparse_nodes"] for p in nm_rows) < 1:
-            failures.append(
-                "no frontier N:M variant ran any sparse-planned node"
-            )
-        if fp16_rows and max(p["fp16_nodes"] for p in fp16_rows) < 1:
-            failures.append(
-                "no frontier fp16 variant ran any half-stored node"
-            )
-        for point in frontier:
-            if (
-                point["variant"] == "nm50"
-                and point["speedup_vs_fp32"] < 1.0 - tolerance
-            ):
-                failures.append(
-                    f"{point['model']}: nm50 engine slower than fp32 "
-                    f"(speedup {point['speedup_vs_fp32']:.2f})"
-                )
-
-    equivalence = current.get("equivalence", {})
-    if equivalence.get("max_abs_diff", 0.0) > MAX_PLANNED_ABS_DIFF:
-        failures.append(
-            f"{equivalence.get('model')}: sparse engine diverges from "
-            f"masked-dense twin (max |diff| "
-            f"{equivalence['max_abs_diff']:.2e})"
-        )
-    if simd_active and equivalence.get("sparse_nodes", 0) < 1:
-        failures.append(
-            "equivalence run planned no sparse nodes (nothing compared)"
-        )
-
-    for point in frontier:
-        if point.get("gated") and "delta_accuracy_pt" in point:
-            if abs(point["delta_accuracy_pt"]) > max_accuracy_delta_pt:
-                failures.append(
-                    f"{point['model']} {point['variant']}: accuracy moved "
-                    f"{point['delta_accuracy_pt']:+.2f} pt vs fp32 "
-                    f"(budget ±{max_accuracy_delta_pt:.1f})"
-                )
-
-    if not ratio_only and baseline is not None:
-        base_points = {
-            (p["model"], p["variant"]): p
-            for p in baseline.get("frontier", [])
-        }
-        for point in frontier:
-            base = base_points.get((point["model"], point["variant"]))
-            if base is None:
-                continue
-            limit = base["ns_frame"] * (1.0 + tolerance)
-            if point["ns_frame"] > limit:
-                failures.append(
-                    f"{point['model']} {point['variant']}: ns/frame "
-                    f"{point['ns_frame']:.0f} exceeds baseline "
-                    f"{base['ns_frame']:.0f} +{tolerance:.0%}"
-                )
-    return failures
+    def select(self, records: list[dict]) -> list[dict]:
+        return [r for r in records
+                if re.fullmatch(self.subject, r["subject"])
+                and re.fullmatch(self.variant, r["variant"])
+                and re.fullmatch(self.metric, r["metric"])]
 
 
-MAX_FUSED_ABS_DIFF = 1e-5
+GATES = [
+    # --- bench_engine_kernels: packed SIMD GEMM vs the scalar fallback.
+    Gate(name="kernels.ns_frame", bench="kernels", baseline=True,
+         what="SIMD ns/frame regressed over the baseline",
+         variant="simd", metric="ns_frame", cmp="<=", threshold=TOLERANCE),
+    Gate(name="kernels.frame_speedup", bench="kernels", when="simd",
+         what="SIMD path slower than scalar",
+         variant="simd", metric="frame_speedup", threshold=NOT_SLOWER),
+    Gate(name="kernels.gemm_speedup", bench="kernels", when="simd",
+         what="best SIMD-vs-scalar GEMM speedup below the floor",
+         variant="simd", metric="gemm_speedup", agg="max",
+         threshold="min_gemm_speedup"),
+    Gate(name="kernels.int8_speedup", bench="kernels", when="simd",
+         what="best INT8-vs-FP32-SIMD GEMM speedup below the floor",
+         variant="int8", metric="gemm_speedup", agg="max",
+         threshold="min_int8_speedup"),
+    Gate(name="kernels.dispatch", bench="kernels", when="simd",
+         what="a kernel dispatched to another path than the active level",
+         metric="path", check=dispatch_path),
+    # --- bench_multi_model: modelled stream clock, machine-relative.
+    Gate(name="multi_model.batch_speedup", bench="multi_model",
+         what="micro-batching throughput speedup below the floor",
+         variant="batched", metric="throughput_speedup", threshold=1.5),
+    Gate(name="multi_model.batching", bench="multi_model",
+         what="scheduler formed no batches",
+         variant="batched", metric="mean_batch", cmp=">", threshold=1.0),
+    Gate(name="multi_model.p99_order", bench="multi_model",
+         what="per-model p99 violates the priority ordering",
+         variant="batched", metric="p99_serve_ms",
+         check=p99_priority_order),
+    # --- bench_conv_planner: the cost model must pick faster kernels.
+    Gate(name="planner.winograd_speedup", bench="planner", when="simd",
+         what="no winograd-planned layer, or the best one below the floor",
+         variant="winograd", metric="layer_speedup", agg="max",
+         threshold=1.5),
+    Gate(name="planner.mischoice", bench="planner",
+         what="planner chose a kernel that measures slower than im2col",
+         variant="(?!im2col$).*", metric="layer_speedup",
+         threshold=NOT_SLOWER),
+    Gate(name="planner.equivalence", bench="planner",
+         what="planned engine diverges from the legacy im2col engine",
+         variant="planned", metric="max_abs_diff", cmp="<=",
+         threshold=1e-4),
+    Gate(name="planner.frame_speedup", bench="planner",
+         what="planned engine slower than the legacy im2col engine",
+         variant="planned", metric="frame_speedup", threshold=NOT_SLOWER),
+    Gate(name="planner.ns_frame", bench="planner", baseline=True,
+         what="planned ns/frame regressed over the baseline",
+         variant="planned", metric="ns_frame", cmp="<=",
+         threshold=TOLERANCE),
+    # --- bench_precision_sweep: the compression Pareto frontier.
+    Gate(name="pareto.sparse_speedup", bench="pareto", when="simd",
+         what="no 50% N:M kernel point, or its sparse GEMM speedup below "
+              "the floor",
+         variant="nm50", metric="kernel_speedup", agg="max", threshold=1.3),
+    Gate(name="pareto.fp16_speedup", bench="pareto", when="simd",
+         what="no fp16-storage kernel point, or the best one below the "
+              "floor",
+         variant="fp16", metric="kernel_speedup", agg="max", threshold=1.2),
+    Gate(name="pareto.sparse_planned", bench="pareto", when="simd",
+         what="no frontier N:M variant ran any sparse-planned node",
+         variant="nm.*", metric="sparse_nodes", agg="max", threshold=1),
+    Gate(name="pareto.fp16_planned", bench="pareto", when="simd",
+         what="no frontier fp16 variant ran any half-stored node",
+         variant=".*fp16.*", metric="fp16_nodes", agg="max", threshold=1),
+    Gate(name="pareto.nm50_speedup", bench="pareto", when="simd",
+         what="nm50 engine slower than fp32",
+         variant="nm50", metric="speedup_vs_fp32", threshold=NOT_SLOWER),
+    Gate(name="pareto.equivalence", bench="pareto",
+         what="sparse engine diverges from its masked-dense twin",
+         variant="masked-twin", metric="max_abs_diff", cmp="<=",
+         threshold=1e-4),
+    Gate(name="pareto.equivalence_planned", bench="pareto", when="simd",
+         what="equivalence run planned no sparse nodes (nothing compared)",
+         variant="masked-twin", metric="sparse_nodes", threshold=1),
+    Gate(name="pareto.accuracy", bench="pareto", when="trained",
+         what="gated variant's trained-detector accuracy moved past the "
+              "budget (pt vs fp32)",
+         variant=ACCURACY_GATED, metric="delta_accuracy_pt", cmp="|x|<=",
+         threshold=1.5),
+    Gate(name="pareto.ns_frame", bench="pareto", baseline=True,
+         what="frontier ns/frame regressed over the baseline",
+         metric="ns_frame", cmp="<=", threshold=TOLERANCE),
+    # --- bench_fusion: YOLOv8-x, the largest conv-heavy model, is the
+    # gate model. 0.95 is a mispick-regression catcher under +/-8%
+    # shared-runner noise, not the 1.25 Jetson-class target.
+    Gate(name="fusion.equivalence", bench="fusion",
+         what="fused engine diverges from the unfused baseline",
+         variant="fused", metric="max_abs_diff", cmp="<=", threshold=1e-5),
+    Gate(name="fusion.warm_allocs", bench="fusion", when="alloc_counting",
+         what="warmed fused frame performed heap allocations",
+         variant="fused", metric="warm_allocs", cmp="==", threshold=0),
+    Gate(name="fusion.frame_speedup", bench="fusion",
+         what="fused engine slower than the pre-fusion baseline",
+         variant="fused", metric="frame_speedup", threshold=NOT_SLOWER),
+    Gate(name="fusion.gate_speedup", bench="fusion",
+         what="gate model's fusion speedup below the floor",
+         subject="YOLOv8-x", variant="fused", metric="frame_speedup",
+         threshold=0.95),
+    Gate(name="fusion.gate_arena", bench="fusion",
+         what="gate model's peak activation arena shrank less than 30%",
+         subject="YOLOv8-x", variant="fused", metric="arena_reduction",
+         threshold=0.30),
+    Gate(name="fusion.gate_residual", bench="fusion",
+         what="fusion pass folded no residual add on the gate model",
+         subject="YOLOv8-x", variant="fused", metric="residual_fused",
+         threshold=1),
+    Gate(name="fusion.gate_concat", bench="fusion",
+         what="fusion pass elided no concat on the gate model",
+         subject="YOLOv8-x", variant="fused", metric="concat_elided",
+         threshold=1),
+    Gate(name="fusion.ns_frame", bench="fusion", baseline=True,
+         what="fused ns/frame regressed over the baseline",
+         variant="fused", metric="ns_frame", cmp="<=", threshold=TOLERANCE),
+    # --- bench_fault: machine-relative resilience (DESIGN.md §14).
+    Gate(name="fault.verify_overhead", bench="fault",
+         what="checksum verify overhead (% of the median clean frame) "
+              "over budget",
+         variant="verify", metric="verify_overhead_pct", agg="max",
+         cmp="<=", threshold=2.0),
+    Gate(name="fault.warm_allocs", bench="fault", when="alloc_counting",
+         what="warmed verify-enabled frame performed heap allocations",
+         variant="verify", metric="warm_allocs", cmp="==", threshold=0),
+    Gate(name="fault.flips_landed", bench="fault",
+         what="injection landed no bit flips",
+         variant="recovery", metric="flips", cmp=">", threshold=0),
+    Gate(name="fault.detected", bench="fault",
+         what="injected weight corruption went undetected",
+         variant="recovery", metric="detected", cmp="==", threshold=1),
+    Gate(name="fault.recovery_exact", bench="fault",
+         what="recovery did not restore bit-exact outputs",
+         variant="recovery", metric="max_abs_diff_after", cmp="==",
+         threshold=0),
+    Gate(name="fault.quarantine_frames", bench="fault",
+         what="corrupted model not quarantined within 4 frames",
+         variant="quarantine", metric="frames_to_quarantine", cmp="<=",
+         threshold=4),
+    Gate(name="fault.quarantined", bench="fault",
+         what="corrupted model never quarantined",
+         variant="quarantine", metric="frames_to_quarantine", threshold=0),
+    Gate(name="fault.readmitted", bench="fault",
+         what="quarantined model never re-admitted after reload",
+         variant="quarantine", metric="readmitted", cmp="==", threshold=1),
+    Gate(name="fault.devsim_slowdown", bench="fault",
+         what="devsim degradation mode does not slow the modelled device",
+         variant="thermal|bandwidth", metric="slowdown", cmp=">",
+         threshold=1.0),
+]
 
 
-def check_fusion(
-    current: dict,
-    baseline: dict | None,
-    tolerance: float,
-    min_fusion_speedup: float,
-    min_arena_reduction: float,
-    ratio_only: bool,
-) -> list[str]:
-    """Gate the fused-execution bench: every model must stay equivalent
-    and allocation-free when warmed, and the gate model must hold the
-    fusion speedup and arena-reduction floors."""
-    failures: list[str] = []
-    models = current.get("models", [])
-    by_name = index_by(models, "name")
-    alloc_counting = current.get("alloc_counting", False)
-
-    for model in models:
-        name = model["name"]
-        if model["max_abs_diff"] > MAX_FUSED_ABS_DIFF:
-            failures.append(
-                f"{name}: fused engine diverges from unfused baseline "
-                f"(max |diff| {model['max_abs_diff']:.2e})"
-            )
-        if alloc_counting and model["warm_allocs"] != 0:
-            failures.append(
-                f"{name}: warmed fused frame performed "
-                f"{model['warm_allocs']} heap allocation(s)"
-            )
-        if model["speedup"] < 1.0 - tolerance:
-            failures.append(
-                f"{name}: fused engine slower than pre-fusion baseline "
-                f"(speedup {model['speedup']:.2f})"
-            )
-
-    gate_name = current.get("gate_model")
-    gate = by_name.get(gate_name)
-    if gate is None:
-        failures.append(f"gate model {gate_name!r} missing from results")
-        return failures
-    if gate["speedup"] < min_fusion_speedup:
-        failures.append(
-            f"{gate_name}: gate fusion speedup {gate['speedup']:.3f} below "
-            f"required {min_fusion_speedup:.3f}"
-        )
-    if gate["arena_reduction"] < min_arena_reduction:
-        failures.append(
-            f"{gate_name}: arena reduction {gate['arena_reduction']:.2%} "
-            f"below required {min_arena_reduction:.0%}"
-        )
-    if gate["residual_fused"] < 1 or gate["concat_elided"] < 1:
-        failures.append(
-            f"{gate_name}: fusion pass found nothing to fuse "
-            f"(residual {gate['residual_fused']}, "
-            f"concat {gate['concat_elided']})"
-        )
-
-    if not ratio_only and baseline is not None:
-        base_models = index_by(baseline.get("models", []), "name")
-        for model in models:
-            base = base_models.get(model["name"])
-            if base is None:
-                continue
-            limit = base["fused_ns_frame"] * (1.0 + tolerance)
-            if model["fused_ns_frame"] > limit:
-                failures.append(
-                    f"{model['name']}: fused ns/frame "
-                    f"{model['fused_ns_frame']:.0f} exceeds baseline "
-                    f"{base['fused_ns_frame']:.0f} +{tolerance:.0%}"
-                )
-    return failures
+def number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def check_fault(
-    current: dict,
-    max_verify_overhead_pct: float,
-    max_quarantine_frames: int,
-) -> list[str]:
-    """Gate the fault-injection bench: the checksum layer must stay
-    cheap on the clean path and actually detect + repair corruption,
-    and the serving quarantine must bench and re-admit a faulted model
-    within the frame budget."""
-    failures: list[str] = []
-    alloc_counting = current.get("alloc_counting", False)
+def check_gate(gate: Gate, run: Run, baseline: Run | None,
+               options: argparse.Namespace) -> list[str]:
+    selected = gate.select(run.records)
+    if not selected:
+        return [f"selects no record (subject {gate.subject!r}, variant "
+                f"{gate.variant!r}, metric {gate.metric!r})"]
+    if gate.check is not None:
+        return gate.check(selected, run)
+    not_numbers = [f"{describe(r)} is not a number" for r in selected
+                   if not number(r["value"])]
+    if not_numbers:
+        return not_numbers
+    threshold = (getattr(options, gate.threshold)
+                 if isinstance(gate.threshold, str) else gate.threshold)
+    compare = COMPARATORS[gate.cmp]
+    if gate.baseline:
+        base = {key(r): r["value"] for r in baseline.records}
+        return [f"{describe(r)} exceeds baseline {base[key(r)]:.4g} "
+                f"+{threshold:.0%}"
+                for r in selected
+                if key(r) in base
+                and not compare(r["value"], base[key(r)] * (1.0 + threshold))]
+    if gate.agg != "each":
+        pick = max if gate.agg == "max" else min
+        best = pick(selected, key=lambda r: r["value"])
+        if compare(best["value"], threshold):
+            return []
+        return [f"{gate.agg} of {len(selected)}: {describe(best)}, "
+                f"required {gate.cmp} {threshold:g}"]
+    return [f"{describe(r)}, required {gate.cmp} {threshold:g}"
+            for r in selected if not compare(r["value"], threshold)]
 
-    overhead = current.get("verify_overhead_pct", 0.0)
-    if overhead > max_verify_overhead_pct:
-        failures.append(
-            f"checksum verify overhead {overhead:.2f}% of median frame "
-            f"exceeds budget {max_verify_overhead_pct:.2f}%"
-        )
 
-    for model in current.get("models", []):
-        name = model["name"]
-        if alloc_counting and model.get("warm_allocs", 0) != 0:
-            failures.append(
-                f"{name}: warmed verify-enabled frame performed "
-                f"{model['warm_allocs']} heap allocation(s)"
-            )
-        recovery = model.get("recovery", {})
-        if recovery.get("flips", 0) <= 0:
-            failures.append(f"{name}: injection landed no bit flips")
-        if not recovery.get("detected", False):
-            failures.append(
-                f"{name}: injected weight corruption went undetected"
-            )
-        if recovery.get("max_abs_diff_after", 1.0) != 0.0:
-            failures.append(
-                f"{name}: recovery did not restore bit-exact outputs "
-                f"(max |diff| after "
-                f"{recovery.get('max_abs_diff_after'):.2e})"
-            )
-        quarantine = model.get("quarantine", {})
-        frames = quarantine.get("frames_to_quarantine", -1)
-        if frames < 0 or frames > max_quarantine_frames:
-            failures.append(
-                f"{name}: corrupted model not quarantined within "
-                f"{max_quarantine_frames} frames (took {frames})"
-            )
-        if not quarantine.get("readmitted", False):
-            failures.append(
-                f"{name}: quarantined model never re-admitted after reload"
-            )
-
-    devsim = current.get("devsim", {})
-    for mode in ("thermal_slowdown", "bandwidth_slowdown"):
-        if devsim.get(mode, 0.0) <= 1.0:
-            failures.append(
-                f"devsim {mode} {devsim.get(mode, 0.0):.2f} does not slow "
-                "the modelled device"
-            )
-    return failures
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0],
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        epilog="\n\n".join(__doc__.split("\n\n")[1:]))
+    parser.add_argument("current", help="bench record file to gate")
+    parser.add_argument(
+        "--baseline",
+        help="committed reference records "
+             "(default: bench/baselines/BENCH_<bench>.json)")
+    parser.add_argument(
+        "--min-gemm-speedup", type=float, default=2.0,
+        help="minimum SIMD-vs-scalar GEMM speedup when SIMD is active")
+    parser.add_argument(
+        "--min-int8-speedup", type=float, default=1.0,
+        help="minimum INT8-vs-FP32-SIMD GEMM throughput ratio on the "
+             "best shape when SIMD is active")
+    parser.add_argument(
+        "--ratio-only", action="store_true",
+        help="skip the baseline rows (cross-machine CI runners)")
+    return parser
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("current", help="freshly generated BENCH_kernels.json")
-    parser.add_argument(
-        "--baseline",
-        default="bench/baselines/BENCH_kernels.json",
-        help="committed reference results",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.15,
-        help="allowed fractional ns/frame regression (0.15 = 15%%)",
-    )
-    parser.add_argument(
-        "--min-gemm-speedup",
-        type=float,
-        default=2.0,
-        help="minimum SIMD-vs-scalar GEMM speedup when SIMD is active",
-    )
-    parser.add_argument(
-        "--min-int8-speedup",
-        type=float,
-        default=1.0,
-        help="minimum INT8-vs-FP32-SIMD GEMM throughput ratio on the "
-        "best shape when SIMD is active",
-    )
-    parser.add_argument(
-        "--ratio-only",
-        action="store_true",
-        help="skip wall-clock comparisons (cross-machine CI runners)",
-    )
-    parser.add_argument(
-        "--min-batch-speedup",
-        type=float,
-        default=1.5,
-        help="minimum micro-batched vs frame-at-a-time aggregate "
-        "throughput ratio (multi-model bench)",
-    )
-    parser.add_argument(
-        "--min-winograd-speedup",
-        type=float,
-        default=1.5,
-        help="minimum measured speedup of the best winograd-planned "
-        "layer over always-im2col (planner bench, SIMD active)",
-    )
-    parser.add_argument(
-        "--min-sparse-speedup",
-        type=float,
-        default=1.3,
-        help="minimum sparse-vs-masked-dense GEMM speedup at 50%% N:M "
-        "on the conv gate shape (pareto bench, SIMD active)",
-    )
-    parser.add_argument(
-        "--min-fp16-speedup",
-        type=float,
-        default=1.2,
-        help="minimum fp16-storage GEMM speedup on the best "
-        "bandwidth-bound gate shape (pareto bench, SIMD active)",
-    )
-    parser.add_argument(
-        "--min-fusion-speedup",
-        type=float,
-        default=0.95,
-        help="minimum gate-model fused-vs-baseline frame speedup "
-        "(fusion bench; the default catches mispick-class regressions "
-        "under shared-runner noise — raise to 1.25 on bandwidth-bound "
-        "hosts)",
-    )
-    parser.add_argument(
-        "--min-arena-reduction",
-        type=float,
-        default=0.30,
-        help="minimum gate-model peak-activation-arena reduction "
-        "(fusion bench; 0.30 = 30%%)",
-    )
-    parser.add_argument(
-        "--max-accuracy-delta-pt",
-        type=float,
-        default=1.5,
-        help="largest trained-detector accuracy move (percentage "
-        "points vs fp32) a gated pareto variant may show",
-    )
-    parser.add_argument(
-        "--max-verify-overhead-pct",
-        type=float,
-        default=2.0,
-        help="largest checksum-verify overhead (%% of the median clean "
-        "frame at the default cadence) the fault bench may show",
-    )
-    parser.add_argument(
-        "--max-quarantine-frames",
-        type=int,
-        default=4,
-        help="frames the serving quarantine may take to bench a model "
-        "failing its checksum sweep (fault bench)",
-    )
-    args = parser.parse_args()
+    args = build_parser().parse_args()
 
-    current = load(args.current)
+    run = load(args.current)
+    gates = [g for g in GATES if g.bench == run.bench]
+    if not gates:
+        print(f"bench regression check FAILED: no gate for bench "
+              f"{run.bench!r} in {args.current}")
+        return 1
+    applied = [g for g in gates
+               if not (g.baseline and args.ratio_only)
+               and (g.when is None or CONDITIONS[g.when](run))]
 
-    if current.get("bench") == "fault":
-        failures = check_fault(
-            current,
-            args.max_verify_overhead_pct,
-            args.max_quarantine_frames,
-        )
-        if failures:
-            print("bench regression check FAILED:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        models = current.get("models", [])
-        worst_frames = max(
-            (
-                m.get("quarantine", {}).get("frames_to_quarantine", -1)
-                for m in models
-            ),
-            default=-1,
-        )
-        print(
-            "bench regression check passed (fault: "
-            f"{len(models)} models, verify overhead "
-            f"{current.get('verify_overhead_pct', 0.0):.2f}%, recovery "
-            "bit-exact, quarantine within "
-            f"{worst_frames} frame(s), simd={current.get('simd')})"
-        )
-        return 0
-
-    if current.get("bench") == "fusion":
+    baseline = None
+    if any(g.baseline for g in applied):
+        path = args.baseline or REPO / "bench" / "baselines" / \
+            f"BENCH_{run.bench}.json"
         try:
-            baseline = load(args.baseline)
-        except OSError:
-            baseline = None
-        failures = check_fusion(
-            current,
-            baseline,
-            args.tolerance,
-            args.min_fusion_speedup,
-            args.min_arena_reduction,
-            args.ratio_only,
-        )
-        if failures:
-            print("bench regression check FAILED:")
-            for failure in failures:
-                print(f"  - {failure}")
+            baseline = load(path)
+        except OSError as err:
+            print(f"bench regression check FAILED: baseline {path}: "
+                  f"{err.strerror} (pass --ratio-only to skip the "
+                  "baseline rows)")
             return 1
-        gate = index_by(current.get("models", []), "name").get(
-            current.get("gate_model"), {}
-        )
-        print(
-            "bench regression check passed (fusion: "
-            f"{len(current.get('models', []))} models, gate "
-            f"{current.get('gate_model')} speedup "
-            f"{gate.get('speedup', 0.0):.2f}x, arena "
-            f"-{gate.get('arena_reduction', 0.0):.0%}, "
-            f"simd={current.get('simd')})"
-        )
-        return 0
 
-    if current.get("bench") == "pareto":
-        try:
-            baseline = load(args.baseline)
-        except OSError:
-            baseline = None
-        failures = check_pareto(
-            current,
-            baseline,
-            args.tolerance,
-            args.min_sparse_speedup,
-            args.min_fp16_speedup,
-            args.max_accuracy_delta_pt,
-            args.ratio_only,
-        )
-        if failures:
-            print("bench regression check FAILED:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        gates = current.get("kernel_gates", {})
-        nm50 = max(
-            (
-                g["speedup"]
-                for g in gates.get("sparse", [])
-                if g.get("sparsity_pct") == 50
-            ),
-            default=0.0,
-        )
-        fp16 = max(
-            (g["speedup"] for g in gates.get("fp16", [])), default=0.0
-        )
-        print(
-            "bench regression check passed (pareto: "
-            f"{len(current.get('frontier', []))} frontier points, sparse "
-            f"nm50 {nm50:.2f}x, fp16 {fp16:.2f}x, "
-            f"simd={current.get('simd')})"
-        )
-        return 0
-
-    if current.get("bench") == "planner":
-        try:
-            baseline = load(args.baseline)
-        except OSError:
-            baseline = None
-        failures = check_planner(
-            current,
-            baseline,
-            args.tolerance,
-            args.min_winograd_speedup,
-            args.ratio_only,
-        )
-        if failures:
-            print("bench regression check FAILED:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        layers = current.get("layers", [])
-        wino = [l for l in layers if l["chosen"] == "winograd"]
-        best = max((l["speedup"] for l in wino), default=0.0)
-        print(
-            "bench regression check passed (planner: "
-            f"{len(layers)} layers, {len(wino)} winograd, best winograd "
-            f"speedup {best:.2f}, simd={current.get('simd')})"
-        )
-        return 0
-
-    if current.get("bench") == "multi_model":
-        failures = check_multi_model(current, args.min_batch_speedup)
-        if failures:
-            print("bench regression check FAILED:")
-            for failure in failures:
-                print(f"  - {failure}")
-            return 1
-        print(
-            "bench regression check passed (multi-model: speedup "
-            f"{current.get('batched_speedup', 0.0):.2f}, "
-            f"{len(current.get('models', []))} models, priority p99 "
-            "ordering holds)"
-        )
-        return 0
-
-    baseline = load(args.baseline)
-    failures: list[str] = []
-    simd_active = current.get("simd", "scalar") != "scalar"
-
-    base_models = index_by(baseline.get("models", []), "name")
-    for model in current.get("models", []):
-        name = model["name"]
-        if not args.ratio_only:
-            base = base_models.get(name)
-            if base is None:
-                continue
-            limit = base["simd_ns_frame"] * (1.0 + args.tolerance)
-            if model["simd_ns_frame"] > limit:
-                failures.append(
-                    f"{name}: simd ns/frame {model['simd_ns_frame']:.0f} "
-                    f"exceeds baseline {base['simd_ns_frame']:.0f} "
-                    f"+{args.tolerance:.0%}"
-                )
-        if simd_active and model["speedup"] < 1.0 - args.tolerance:
-            failures.append(
-                f"{name}: SIMD path slower than scalar "
-                f"(speedup {model['speedup']:.2f})"
-            )
-
-    if simd_active:
-        speedups = [g["speedup"] for g in current.get("gemm", [])]
-        if speedups and max(speedups) < args.min_gemm_speedup:
-            failures.append(
-                f"best GEMM speedup {max(speedups):.2f} below required "
-                f"{args.min_gemm_speedup:.2f}"
-            )
-        int8_speedups = [
-            g["int8_speedup"]
-            for g in current.get("gemm", [])
-            if "int8_speedup" in g
-        ]
-        if int8_speedups and max(int8_speedups) < args.min_int8_speedup:
-            failures.append(
-                f"best INT8 GEMM speedup {max(int8_speedups):.2f} below "
-                f"required {args.min_int8_speedup:.2f}"
-            )
-        # Dispatch audit: with SIMD active, every shape must have taken
-        # the advertised path — the scalar kernel reaching these numbers
-        # would mean the dispatcher silently fell back.
-        level = current.get("simd", "scalar")
-        for g in current.get("gemm", []):
-            for field in ("simd_path", "int8_path"):
-                path = g.get(field)
-                if path is not None and path != level:
-                    failures.append(
-                        f"gemm {g['label']!r}: {field} took {path!r}, "
-                        f"expected active level {level!r}"
-                    )
-            scalar_path = g.get("scalar_path")
-            if scalar_path is not None and scalar_path != "scalar":
-                failures.append(
-                    f"gemm {g['label']!r}: forced-scalar measurement "
-                    f"dispatched to {scalar_path!r}"
-                )
-
+    failures = [f"[{g.name}] {g.what}: {detail}"
+                for g in applied
+                for detail in check_gate(g, run, baseline, args)]
     if failures:
         print("bench regression check FAILED:")
         for failure in failures:
             print(f"  - {failure}")
         return 1
-
-    checked = "ratios" if args.ratio_only else "ns/frame and ratios"
-    print(
-        f"bench regression check passed ({checked}, "
-        f"{len(current.get('models', []))} models, simd={current.get('simd')})"
-    )
+    print(f"bench regression check passed ({run.bench}: {len(applied)} of "
+          f"{len(gates)} gates applied over {len(run.records)} records, "
+          f"simd={run.provenance.get('simd')})")
     return 0
 
 

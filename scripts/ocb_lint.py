@@ -76,10 +76,14 @@ correctness:
                    runtimes drive (DESIGN.md §14); a second hand-written
                    copy drifts from it, as the two copies it replaced
                    did.
-  bench-baseline   bench/baselines/*.json must parse and carry the
-                   top-level keys scripts/check_bench_regression.py
-                   keys off, so a malformed baseline fails in lint, not
-                   in a release-gate CI step.
+  bench-baseline   bench/baselines/*.json must parse as the one bench
+                   record format scripts/check_bench_regression.py
+                   reads: a `bench` name, a `provenance` object and a
+                   non-empty `records` list whose entries carry exactly
+                   subject / variant / metric / value / unit, with a
+                   numeric value (a string only for a dispatch `path`).
+                   A malformed baseline then fails in lint, not in a
+                   release-gate CI step.
 
 Suppressions: append `// ocb-lint: allow(<rule>)` to the offending line.
 
@@ -561,16 +565,35 @@ def check_health_state(rel: str, lines: list[str]) -> list[Finding]:
 
 # --- rule: bench-baseline ---------------------------------------------------
 
-BASELINE_REQUIRED_KEYS = {
-    "BENCH_kernels.json": {"simd", "gemm", "models"},
-    "BENCH_multi_model.json": {"bench", "batched_speedup", "models"},
-    "BENCH_planner.json": {"bench", "simd", "layers", "models"},
-    "BENCH_precision_sweep.json": {"latency", "accuracy"},
-    "BENCH_pareto.json": {"bench", "kernel_gates", "equivalence", "frontier"},
-    "BENCH_fusion.json": {"bench", "simd", "gate_model", "models"},
-    "BENCH_fault.json": {"bench", "simd", "alloc_counting", "verify_cadence",
-                         "verify_overhead_pct", "models", "devsim"},
-}
+RECORD_TEXT_KEYS = ("subject", "variant", "metric", "unit")
+
+
+def record_file_problems(data: object) -> list[str]:
+    if not isinstance(data, dict):
+        return ["baseline must be a JSON object"]
+    problems = []
+    if not isinstance(data.get("bench"), str) or not data["bench"]:
+        problems.append("missing `bench` name")
+    if not isinstance(data.get("provenance"), dict):
+        problems.append("missing `provenance` object")
+    records = data.get("records")
+    if not isinstance(records, list) or not records:
+        return problems + ["missing non-empty `records` list"]
+    for i, record in enumerate(records):
+        if (not isinstance(record, dict)
+                or set(record) != {*RECORD_TEXT_KEYS, "value"}):
+            problems.append(f"record {i}: keys must be exactly "
+                            "subject, variant, metric, value, unit")
+        elif not all(isinstance(record[k], str) for k in RECORD_TEXT_KEYS):
+            problems.append(f"record {i}: subject, variant, metric and "
+                            "unit must be strings")
+        elif not (isinstance(record["value"], (int, float))
+                  and not isinstance(record["value"], bool)
+                  or record["metric"] == "path"
+                  and isinstance(record["value"], str)):
+            problems.append(f"record {i}: value must be a number (a "
+                            "string only for a dispatch `path`)")
+    return problems
 
 
 def check_bench_baselines(paths: list[Path]) -> list[Finding]:
@@ -583,19 +606,11 @@ def check_bench_baselines(paths: list[Path]) -> list[Finding]:
             findings.append(Finding(
                 "bench-baseline", rel, 1, f"unreadable baseline: {err}"))
             continue
-        if not isinstance(data, dict) or not data:
-            findings.append(Finding(
-                "bench-baseline", rel, 1,
-                "baseline must be a non-empty JSON object"))
-            continue
-        required = BASELINE_REQUIRED_KEYS.get(path.name)
-        if required:
-            missing = sorted(required - set(data))
-            if missing:
-                findings.append(Finding(
-                    "bench-baseline", rel, 1,
-                    f"missing required keys: {', '.join(missing)} "
-                    "(check_bench_regression.py keys off these)"))
+        findings.extend(
+            Finding("bench-baseline", rel, 1,
+                    f"{problem} (scripts/check_bench_regression.py reads "
+                    "the record format)")
+            for problem in record_file_problems(data))
     return findings
 
 
@@ -827,6 +842,21 @@ SELF_TEST_CLEAN = [
 ]
 
 
+SELF_TEST_BAD_BASELINES = [
+    ("the bespoke kernels shape",
+     {"simd": "avx2", "gemm": [{"label": "square", "speedup": 6.2}],
+      "models": [{"name": "YOLOv8-n", "simd_ns_frame": 4.1e7}]}),
+    ("a record missing its unit",
+     {"bench": "fusion", "provenance": {},
+      "records": [{"subject": "YOLOv8-x", "variant": "fused",
+                   "metric": "frame_speedup", "value": 1.1}]}),
+    ("a string value outside the dispatch audit",
+     {"bench": "fault", "provenance": {},
+      "records": [{"subject": "YOLOv8-n", "variant": "recovery",
+                   "metric": "detected", "value": "yes", "unit": "bool"}]}),
+]
+
+
 def self_test() -> int:
     failures = 0
     for rule, rel, lines in SELF_TEST_CASES:
@@ -840,11 +870,20 @@ def self_test() -> int:
             print(f"self-test FAIL: clean snippet {rel} raised "
                   f"{[str(f) for f in findings]}")
             failures += 1
-    # Baseline rule: must fire on garbage, pass on the committed files.
+    # Baseline rule: must fire on garbage and on a pre-record bespoke
+    # shape, and pass on every committed (migrated) baseline.
     bad = check_bench_baselines([REPO / "scripts" / "ocb_lint.py"])
     if not bad:
         print("self-test FAIL: bench-baseline accepted a non-JSON file")
         failures += 1
+    for name, data in SELF_TEST_BAD_BASELINES:
+        if not record_file_problems(data):
+            print(f"self-test FAIL: bench-baseline accepted {name}")
+            failures += 1
+    for path in sorted((REPO / "bench/baselines").glob("*.json")):
+        for finding in check_bench_baselines([path]):
+            print(f"self-test FAIL: migrated baseline raised {finding}")
+            failures += 1
     # GitHub annotation escaping: a %, newline, colon or comma in a
     # finding must not break the ::error command syntax.
     if gh_data("a%\nb") != "a%25%0Ab" or gh_property("f:1,t") != "f%3A1%2Ct":
